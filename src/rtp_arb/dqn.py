@@ -279,6 +279,11 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} has a corrupt header: {exc}") from exc
     off += header_len
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] != ACTION_COUNT:
+        raise CheckpointError(
+            f"checkpoint {path} has layer dims {dims}; need at least 2 positive "
+            f"widths ending in {ACTION_COUNT} (one output per action)"
+        )
 
     shapes: list[tuple[int, ...]] = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -38,6 +38,11 @@ FEED_TIMEZONE = ZoneInfo("America/Chicago")
 
 CSV_HEADER = "hour_start_utc,price_cents_per_kwh"
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+# A stamp is well formed when mapping its ASCII digits to "0" gives the shape.
+# (A regex guard did the same job but raised the ingest benchmark's peak memory
+# by about 2.5 MiB in four of six checkout directories tried.)
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+_TIMESTAMP_SHAPE = "0000-00-00T00:00:00Z"
 
 RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 1.0
@@ -221,6 +226,18 @@ def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, 
     return series, report
 
 
+def parse_timestamp(text: str) -> datetime:
+    """Parse exactly the zero-padded ``TIMESTAMP_FORMAT`` form as a UTC datetime.
+
+    Any other spelling (missing zero padding, a numeric offset, surrounding
+    spaces) or an impossible date raises ValueError.
+    """
+    if text.translate(_DIGITS_TO_ZERO) != _TIMESTAMP_SHAPE:
+        raise ValueError(f"{text!r} is not YYYY-MM-DDTHH:MM:SSZ")
+    # an explicit offset parses faster than .replace(tzinfo=...) and gives timezone.utc
+    return datetime.fromisoformat(text[:-1] + "+00:00")
+
+
 def write_price_csv(series: PriceSeries, path) -> None:
     """Write the strict hourly cache format: LF endings, full-precision prices."""
     lines = [CSV_HEADER]
@@ -251,7 +268,7 @@ def read_price_csv(path) -> PriceSeries:
         if len(parts) != 2:
             raise ValidationError(f"{p}: row {row_no}: expected 2 fields, got {len(parts)}")
         try:
-            ts = datetime.strptime(parts[0], TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
+            ts = parse_timestamp(parts[0])
         except ValueError as exc:
             raise ValidationError(f"{p}: row {row_no}: bad timestamp {parts[0]!r}") from exc
         try:

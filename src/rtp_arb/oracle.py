@@ -20,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Action, BatteryConfig, Observation, PriceSeries, apply_action, reachable_charges
-
-_ACTIONS = (Action.CHARGE, Action.DISCHARGE, Action.IDLE)
+from .env import Action, BatteryConfig, Observation, PriceSeries, reachable_charges, successor_table
 
 #: Longest horizon (steps) the exhaustive enumerator will accept: 3^12 leaves.
 BRUTE_FORCE_MAX_STEPS = 12
@@ -36,16 +34,6 @@ class HindsightPlan:
     value: float
 
 
-def _successor_table(states: list[float], config: BatteryConfig) -> np.ndarray:
-    """(n_states, 3) index table: state i under action a lands on table[i, a]."""
-    index = {w: i for i, w in enumerate(states)}
-    table = np.empty((len(states), len(_ACTIONS)), dtype=np.intp)
-    for i, w in enumerate(states):
-        for a in _ACTIONS:
-            table[i, a] = index[apply_action(w, a, config)]
-    return table
-
-
 def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPlan:
     """Best achievable dispatch of the whole series, starting empty.
 
@@ -57,7 +45,7 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     agent's tie-break and is reproducible.
     """
     states = sorted(reachable_charges(config))
-    succ = _successor_table(states, config)
+    succ = successor_table(states, config)
     charges = np.array(states, dtype=np.float64)
     deltas = np.diff(prices.prices)  # p_{n+1} - p_n for each step n
     n_steps = deltas.shape[0]

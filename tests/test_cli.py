@@ -1,12 +1,25 @@
 """Command-line behavior: exit codes, precedence, and the full workflow."""
 
+import json
+import struct
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rtp_arb import FiveMinuteSample, PriceSeries, write_price_csv
+from rtp_arb import (
+    AdamState,
+    FiveMinuteSample,
+    ObservationNormalizer,
+    PriceSeries,
+    QNetwork,
+    init_network,
+    save_checkpoint,
+    write_price_csv,
+)
 from rtp_arb.cli import _assemble, _build_parser, run
+from rtp_arb.dqn import CHECKPOINT_MAGIC
 
 UTC = timezone.utc
 
@@ -313,3 +326,50 @@ class TestManifestAndPlotErrors:
         d.mkdir()
         assert run(["plot", "--in", str(d)]) == 1
         assert "no result CSVs" in capsys.readouterr().err
+
+
+class TestMalformedCheckpoints:
+    """Hand-made checkpoints that once escaped as tracebacks exit 1 with a message."""
+
+    BATTERY = {"capacity_kwh": 4.0, "rate_kw": 2.0, "window_hours": 4}
+
+    def eval_checkpoint(self, tmp_path, capsys, net, metadata=None, layer_dims=None):
+        path = tmp_path / "agent.ckpt"
+        norm = ObservationNormalizer(0.0, 1.0, 1.0)
+        save_checkpoint(net, AdamState.for_network(net), norm, metadata or self.BATTERY, path)
+        if layer_dims is not None:
+            blob = path.read_bytes()
+            off = len(CHECKPOINT_MAGIC)
+            version, header_len = struct.unpack_from("<II", blob, off)
+            header = json.loads(blob[off + 8 : off + 8 + header_len])
+            header["layer_dims"] = layer_dims
+            new = json.dumps(header).encode("utf-8")
+            path.write_bytes(
+                blob[:off] + struct.pack("<II", version, len(new)) + new
+                + blob[off + 8 + header_len :]
+            )
+        prices = wave_csv(tmp_path / "p.csv")
+        code = run(["eval", "--checkpoint", str(path), "--prices", prices])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [[], [5], [5, -64, 3], [5, 0, 3], [5, 8, 2]])
+    def test_bad_layer_dims(self, tmp_path, capsys, clean_env, dims):
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        code, err = self.eval_checkpoint(tmp_path, capsys, net, layer_dims=dims)
+        assert code == 1
+        assert "error:" in err and "layer dims" in err
+
+    def test_output_width_must_match_actions(self, tmp_path, capsys, clean_env):
+        # an argmax of 3 has no action; such a file must not load at all
+        net = QNetwork([np.zeros((5, 4))], [np.array([0.0, 0.0, 0.0, 1.0])])
+        code, err = self.eval_checkpoint(tmp_path, capsys, net)
+        assert code == 1
+        assert "layer dims [5, 4]" in err
+
+    @pytest.mark.parametrize("window", ["x", None, [4]])
+    def test_malformed_battery_metadata(self, tmp_path, capsys, clean_env, window):
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        metadata = dict(self.BATTERY, window_hours=window)
+        code, err = self.eval_checkpoint(tmp_path, capsys, net, metadata=metadata)
+        assert code == 1
+        assert "error: checkpoint metadata has a malformed battery field" in err

@@ -1,0 +1,114 @@
+"""Greedy evaluation on the (hour, charge-level) grid against the stepwise specification.
+
+``greedy_rollout`` never steps the environment: it fills a table of greedy
+actions from batched forwards over every (hour, charge level) and walks it.
+The reference below is the plain loop it replaced (reset, then step with the
+single-observation ``forward`` and ``select_action``); the two must agree
+exactly, return and every action and charge.
+"""
+
+from datetime import datetime, timezone
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import continuous_configs, continuous_prices, make_series
+from rtp_arb import (
+    BatteryConfig,
+    ObservationNormalizer,
+    PriceSeries,
+    forward,
+    greedy_rollout,
+    init_network,
+    reset,
+    select_action,
+    step,
+)
+from rtp_arb.env import _observation, price_windows
+from rtp_arb.experiment import GREEDY_BLOCK_HOURS
+
+
+def stepwise_greedy_rollout(net, norm, prices, config):
+    """The specification: one environment step per hour, greedy on one forward each."""
+    state, obs = reset(prices, config)
+    total = 0.0
+    actions = []
+    charges = []
+    done = False
+    while not done:
+        a = select_action(forward(net, obs, norm), 0.0)
+        state, obs, r, done = step(state, a, prices, config)
+        total += r
+        actions.append(a)
+        charges.append(state.charge_kwh)
+    return total, actions, charges
+
+
+def random_walk(seed: int, hours: int) -> PriceSeries:
+    rng = np.random.default_rng(seed)
+    prices = 4.0 + np.cumsum(rng.normal(0.0, 0.7, hours))
+    return PriceSeries.from_prices(datetime(2020, 1, 1, tzinfo=timezone.utc), prices)
+
+
+CONFIGS = [
+    BatteryConfig(),  # 5 kW does not divide 13.5 kWh: 6 levels
+    BatteryConfig(capacity_kwh=6.0, rate_kw=1.5, window_hours=2),
+    BatteryConfig(capacity_kwh=10.0, rate_kw=3.0, window_hours=6),  # 3 does not divide 10
+    BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
+]
+# M = 2; shorter than most windows; within one block; one step past a block;
+# many blocks and a partial one
+LENGTHS = [2, 5, GREEDY_BLOCK_HOURS, GREEDY_BLOCK_HOURS + 2, 10 * GREEDY_BLOCK_HOURS + 17]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.capacity_kwh}-{c.rate_kw}-{c.window_hours}")
+@pytest.mark.parametrize("hours", LENGTHS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matches_stepwise_rollout(config, hours, seed):
+    prices = random_walk(seed + 100 * hours, hours)
+    hidden = (64, 64) if seed == 0 else (8,)
+    net = init_network(config.window_hours, seed, hidden_dims=hidden)
+    norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
+    got = greedy_rollout(net, norm, prices, config)
+    want = stepwise_greedy_rollout(net, norm, prices, config)
+    assert got == want
+    total, actions, charges = got
+    assert len(actions) == len(charges) == hours - 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.integers(min_value=1, max_value=6).flatmap(continuous_configs),
+    prices=continuous_prices(min_len=2, max_len=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_matches_stepwise_rollout_on_arbitrary_input(config, prices, seed):
+    series = make_series(prices)
+    net = init_network(config.window_hours, seed, hidden_dims=(16, 8))
+    norm = ObservationNormalizer.from_series(series.prices, config.capacity_kwh)
+    assert greedy_rollout(net, norm, series, config) == stepwise_greedy_rollout(
+        net, norm, series, config
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"window-{c.window_hours}")
+@pytest.mark.parametrize("hours", [2, 5, 60])
+def test_window_rows_equal_observations(config, hours):
+    prices = random_walk(hours, hours)
+    windows = price_windows(prices, config)
+    assert windows.shape == (hours, config.window_hours)
+    assert not windows.flags.writeable
+    for n in range(hours):
+        np.testing.assert_array_equal(windows[n], _observation(prices, config, n, 0.0).recent_prices)
+
+
+def test_rejects_network_without_one_output_per_action():
+    config = CONFIGS[3]
+    net = init_network(config.window_hours, 0, hidden_dims=(4,))
+    net.weights[-1] = np.zeros((4, 4))
+    net.biases[-1] = np.zeros(4)
+    prices = random_walk(0, 10)
+    with pytest.raises(ValueError, match="4 outputs"):
+        greedy_rollout(net, ObservationNormalizer(0.0, 1.0, 1.0), prices, config)

@@ -316,6 +316,32 @@ class TestCsvCache:
         with pytest.raises(ValidationError, match="row 2"):
             read_price_csv(path)
 
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2018-6-1T1:0:0Z",  # no zero padding
+            "2018-06-01T01:00:00+00:00",  # offset instead of Z
+            "2018-06-01T01:00:00Z ",  # trailing space
+            " 2018-06-01T01:00:00Z",
+            "2018-06-01 01:00:00Z",
+            "2018-06-01T01:00:00",
+            "2018-06-01T01:00:00.000Z",
+            "2018-02-30T01:00:00Z",  # no such day
+            "2018-06-01T24:00:00Z",
+            "２０18-06-01T01:00:00Z",  # non-ASCII digits
+        ],
+    )
+    def test_only_the_written_timestamp_form_is_accepted(self, tmp_path, stamp):
+        path = tmp_path / "ts.csv"
+        path.write_text(
+            "hour_start_utc,price_cents_per_kwh\n"
+            "2018-06-01T00:00:00Z,2.0\n"
+            f"{stamp},3.0\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match="row 3: bad timestamp"):
+            read_price_csv(path)
+
 
 class TestDataDir:
     def test_env_override(self, monkeypatch, tmp_path):
