@@ -7,9 +7,12 @@ trace), ``cross-test`` (all agents on all years from a manifest),
 from result CSVs).
 
 Every setting follows the same precedence: command-line flag, then config
-file, then built-in default. The config file is flat ``key = value`` text;
-``#`` starts a comment. Exit codes: 0 success, 1 runtime or data error,
-2 usage error.
+file, then built-in default. Settings are the leaf fields of
+:class:`RunConfig` (``BatteryConfig``, ``Hyperparams`` and the run fields);
+a field's config key is its name and its flag is ``--field-name``, with the
+exploration schedule's fields keyed ``epsilon_<name>``. The config file is
+flat ``key = value`` text; ``#`` starts a comment. Exit codes: 0 success,
+1 runtime or data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,19 +21,13 @@ import argparse
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field, is_dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_type_hints
 
-from .dqn import EpsilonSchedule, load_checkpoint, save_checkpoint
-from .env import (
-    DEFAULT_CAPACITY_KWH,
-    DEFAULT_RATE_KW,
-    DEFAULT_WINDOW_HOURS,
-    Action,
-    BatteryConfig,
-)
+from .dqn import load_checkpoint, save_checkpoint
+from .env import Action, BatteryConfig
 from .errors import ConfigError, RtpArbError
 from .experiment import (
     CROSS_TEST_CSV,
@@ -47,18 +44,19 @@ from .experiment import (
     read_cross_test_csv,
     read_daily_policy_csv,
     read_training_curves_csv,
+    render_cross_test_svg,
     render_daily_policy_svg,
+    render_training_curves_svg,
     train_agent,
     write_cross_test_csv,
     write_daily_policy_csv,
-    write_training_curves_csv,
 )
-from . import charts
 from .ingest import (
     DEFAULT_ENDPOINT,
     aggregate_hourly,
     default_data_dir,
     fetch_five_minute_feed,
+    read_csv_rows,
     read_price_csv,
     write_price_csv,
     year_csv_path,
@@ -81,69 +79,64 @@ def _parse_years(text: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline with its effective value."""
+    """Every tunable of the pipeline with its effective value.
 
-    capacity_kwh: float = DEFAULT_CAPACITY_KWH
-    rate_kw: float = DEFAULT_RATE_KW
-    window_hours: int = DEFAULT_WINDOW_HOURS
-    gamma: float = 0.99
-    learning_rate: float = 1e-4
-    batch_size: int = 32
-    buffer_capacity: int = 200_000
-    learning_starts: int = 1_000
-    update_every: int = 4
-    target_sync_every: int = 1_000
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_fraction: float = 0.1
+    The battery and learning knobs keep their defaults in their own
+    dataclasses; the fields here are what only a run needs.
+    """
+
+    battery: BatteryConfig = field(default_factory=BatteryConfig)
+    hyper: Hyperparams = field(default_factory=Hyperparams)
     steps: int = DEFAULT_TOTAL_STEPS
     eval_every: int = DEFAULT_EVAL_EVERY
     seed: int = 0
     years: tuple[int, ...] = DEFAULT_YEARS
     endpoint: str = DEFAULT_ENDPOINT
-    data_dir: Path = None  # type: ignore[assignment]  # resolved in _assemble
+    data_dir: Path = field(default_factory=default_data_dir)
     out_dir: Path = Path("runs")
 
-    def battery(self) -> BatteryConfig:
-        return BatteryConfig(self.capacity_kwh, self.rate_kw, self.window_hours)
 
-    def hyper(self) -> Hyperparams:
-        return Hyperparams(
-            gamma=self.gamma,
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            buffer_capacity=self.buffer_capacity,
-            learning_starts=self.learning_starts,
-            update_every=self.update_every,
-            target_sync_every=self.target_sync_every,
-            epsilon=EpsilonSchedule(
-                self.epsilon_start, self.epsilon_end, self.epsilon_decay_fraction
-            ),
-        )
-
-
-_CONVERTERS: dict[str, Callable[[str], Any]] = {
-    "capacity_kwh": float,
-    "rate_kw": float,
-    "window_hours": int,
-    "gamma": float,
-    "learning_rate": float,
-    "batch_size": int,
-    "buffer_capacity": int,
-    "learning_starts": int,
-    "update_every": int,
-    "target_sync_every": int,
-    "epsilon_start": float,
-    "epsilon_end": float,
-    "epsilon_decay_fraction": float,
-    "steps": int,
-    "eval_every": int,
-    "seed": int,
-    "years": _parse_years,
-    "endpoint": str,
-    "data_dir": str,
-    "out_dir": str,
+#: Subcommands whose parser has flags for a RunConfig field (one per leaf of
+#: battery and hyper). Fields not listed have flags on every subcommand.
+_FLAGS_ON = {
+    "hyper": ("train",),
+    "steps": ("train",),
+    "eval_every": ("train",),
+    "seed": ("train",),
+    "endpoint": ("fetch",),
+    "years": (),  # config file only
 }
+
+
+def _prefix(owner: type, name: str, prefix: str) -> str:
+    # RunConfig's sections add nothing to their keys; a schedule nested in a
+    # knob object adds its field name (Hyperparams.epsilon.start -> epsilon_start).
+    return "" if owner is RunConfig else f"{prefix}{name}_"
+
+
+def _knobs(cls: type = RunConfig, path: tuple[str, ...] = (), prefix: str = "") -> dict:
+    """Config key -> (attribute path from RunConfig, converter) of every leaf field."""
+    out: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {}
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            out.update(_knobs(hint, path + (name,), _prefix(cls, name, prefix)))
+        else:
+            out[prefix + name] = (path + (name,), _parse_years if hint == tuple[int, ...] else hint)
+    return out
+
+
+_KNOBS = _knobs()
+
+
+def _build(cls: type, values: dict[str, Any], prefix: str = "") -> Any:
+    """``cls`` from the keyed values; a key not in ``values`` keeps its default."""
+    kwargs = {}
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, values, _prefix(cls, name, prefix))
+        elif prefix + name in values:
+            kwargs[name] = values[prefix + name]
+    return cls(**kwargs)
 
 
 def _parse_config_file(path) -> dict[str, str]:
@@ -165,50 +158,46 @@ def _parse_config_file(path) -> dict[str, str]:
 def _assemble(args: argparse.Namespace) -> RunConfig:
     """Merge built-in defaults, config file, and flags (in rising precedence)."""
     values: dict[str, Any] = {}
-    file_values: dict[str, str] = {}
     if getattr(args, "config", None):
-        file_values = _parse_config_file(args.config)
-    for key, raw in file_values.items():
-        if key not in _CONVERTERS:
-            raise ConfigError(f"{args.config}: unknown config key {key!r}")
-        try:
-            values[key] = _CONVERTERS[key](raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{args.config}: bad value for {key!r}: {raw!r}") from exc
-    for key in _CONVERTERS:
+        for key, raw in _parse_config_file(args.config).items():
+            if key not in _KNOBS:
+                raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            try:
+                values[key] = _KNOBS[key][1](raw)
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"{args.config}: bad value for {key!r}: {raw!r}") from exc
+    # The cache dir has an extra layer: RTP_ARB_DATA_DIR, which the built-in
+    # default reads, beats the config file.
+    if os.environ.get("RTP_ARB_DATA_DIR"):
+        values.pop("data_dir", None)
+    for key in _KNOBS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
+    # Validate eagerly so bad settings fail before any work.
+    try:
+        return _build(RunConfig, values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
-    # The cache dir has an extra layer: flag beats RTP_ARB_DATA_DIR beats the
-    # config file beats the built-in location.
-    if getattr(args, "data_dir", None) is not None:
-        data_dir = Path(args.data_dir)
-    elif os.environ.get("RTP_ARB_DATA_DIR"):
-        data_dir = default_data_dir()
-    elif "data_dir" in values:
-        data_dir = Path(values["data_dir"])
-    else:
-        data_dir = default_data_dir()
-    values["data_dir"] = data_dir
-    values["out_dir"] = Path(values.get("out_dir", "runs"))
-    if "years" in values and not isinstance(values["years"], tuple):
-        values["years"] = _parse_years(str(values["years"]))
 
-    cfg = RunConfig(**values)
-    cfg.battery()  # validate eagerly so bad settings fail before any work
-    cfg.hyper()
-    return cfg
+def _add_flags(parser: argparse.ArgumentParser, command: str | None) -> None:
+    """One ``--field-name`` flag per knob that ``command`` takes (None: every subcommand)."""
+    defaults = RunConfig()
+    for key, (path, convert) in _KNOBS.items():
+        if command in _FLAGS_ON.get(path[0], (None,)):
+            default = defaults
+            for name in path:
+                default = getattr(default, name)
+            flag = "--" + key.replace("_", "-")
+            help_text = f"default: {default}".replace("%", "%%")
+            parser.add_argument(flag, dest=key, type=convert, help=help_text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key = value settings file")
-    common.add_argument("--capacity-kwh", type=float, dest="capacity_kwh", help="battery capacity")
-    common.add_argument("--rate-kw", type=float, dest="rate_kw", help="charge/discharge rate")
-    common.add_argument("--window-hours", type=int, dest="window_hours", help="observed price window")
-    common.add_argument("--data-dir", dest="data_dir", help="price CSV cache directory")
-    common.add_argument("--out-dir", dest="out_dir", help="where results are written")
+    _add_flags(common, None)
 
     parser = argparse.ArgumentParser(
         prog="rtp-arb",
@@ -219,23 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fetch", parents=[common], help="download a year of prices into the cache")
     p.add_argument("--year", type=int, help="calendar year (default: every configured year)")
     p.add_argument("--force", action="store_true", help="allow the excluded year 2020")
-    p.add_argument("--endpoint", help="price feed base URL")
 
     p = sub.add_parser("train", parents=[common], help="train one agent on a price CSV")
     p.add_argument("--prices", required=True, help="hourly price CSV")
-    p.add_argument("--steps", type=int, help="environment steps to train")
-    p.add_argument("--eval-every", type=int, dest="eval_every", help="greedy evaluation cadence")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--learning-rate", type=float, dest="learning_rate")
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--buffer-capacity", type=int, dest="buffer_capacity")
-    p.add_argument("--learning-starts", type=int, dest="learning_starts")
-    p.add_argument("--update-every", type=int, dest="update_every")
-    p.add_argument("--target-sync-every", type=int, dest="target_sync_every")
-    p.add_argument("--epsilon-start", type=float, dest="epsilon_start")
-    p.add_argument("--epsilon-end", type=float, dest="epsilon_end")
-    p.add_argument("--epsilon-decay-fraction", type=float, dest="epsilon_decay_fraction")
 
     p = sub.add_parser("eval", parents=[common], help="greedy return of a checkpoint on a series")
     p.add_argument("--checkpoint", required=True)
@@ -254,6 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plot", parents=[common], help="re-render SVGs from result CSVs")
     p.add_argument("--in", dest="in_dir", required=True, help="directory holding result CSVs")
+
+    for command, p in sub.choices.items():
+        _add_flags(p, command)
     return parser
 
 
@@ -285,8 +263,7 @@ def _cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     series = read_price_csv(args.prices)
-    config = cfg.battery()
-    curve, ckpt = train_agent(series, config, cfg.hyper(), cfg.steps, cfg.eval_every, cfg.seed)
+    curve, ckpt = train_agent(series, cfg.battery, cfg.hyper, cfg.steps, cfg.eval_every, cfg.seed)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = cfg.out_dir / f"agent_{curve.year}.ckpt"
@@ -332,25 +309,13 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _read_manifest(path) -> list[tuple[int, Path, Path]]:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"manifest does not exist: {p}")
-    lines = p.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "year,checkpoint_path,prices_path":
-        raise ConfigError(f"{p}: row 1: expected header 'year,checkpoint_path,prices_path'")
     rows = []
-    base = p.parent
-    for row_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"{p}: row {row_no}: expected 3 fields, got {len(parts)}")
+    base = Path(path).parent
+    for row_no, (year, ckpt, prices) in read_csv_rows(path, "year,checkpoint_path,prices_path", 3):
         try:
-            year = int(parts[0])
+            rows.append((int(year), base / ckpt, base / prices))
         except ValueError as exc:
-            raise ConfigError(f"{p}: row {row_no}: bad year {parts[0]!r}") from exc
-        rows.append((year, base / parts[1], base / parts[2]))
+            raise ConfigError(f"{path}: row {row_no}: bad year {year!r}") from exc
     return rows
 
 
@@ -366,15 +331,8 @@ def _cmd_cross_test(cfg: RunConfig, args: argparse.Namespace) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.out_dir / CROSS_TEST_CSV
     write_cross_test_csv(matrix, csv_path)
+    svg_path = render_cross_test_svg(matrix, cfg.out_dir / "cross_test.svg")
     means = matrix.off_diagonal_means()
-    svg_path = cfg.out_dir / "cross_test.svg"
-    charts.bar_chart(
-        [str(y) for y in matrix.years],
-        [means[y] for y in matrix.years],
-        "Mean normalized return outside the training year",
-        "normalized return",
-        svg_path,
-    )
 
     head = "agent\\test" + "".join(f"{y:>12}" for y in matrix.years)
     print("raw returns (cents):")
@@ -397,7 +355,7 @@ def _cmd_cross_test(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_oracle(cfg: RunConfig, args: argparse.Namespace) -> int:
     series = read_price_csv(args.prices)
-    plan = hindsight_optimal(series, cfg.battery())
+    plan = hindsight_optimal(series, cfg.battery)
     counts = Counter(plan.actions)
     print(f"hindsight optimal value: {plan.value!r} cents over {len(plan.actions)} hours")
     print(
@@ -416,29 +374,11 @@ def _cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> int:
     curves_csv = d / TRAINING_CURVES_CSV
     if curves_csv.exists():
         curves = read_training_curves_csv(curves_csv)
-        out = d / "training_curves.svg"
-        charts.line_chart(
-            [charts.Series(str(c.year), c.steps, c.returns) for c in curves],
-            "Greedy return during training",
-            "environment steps",
-            "return (cents)",
-            out,
-        )
-        made.append(out)
+        made.append(render_training_curves_svg(curves, d / "training_curves.svg"))
 
     ct_csv = d / CROSS_TEST_CSV
     if ct_csv.exists():
-        matrix = read_cross_test_csv(ct_csv)
-        means = matrix.off_diagonal_means()
-        out = d / "cross_test.svg"
-        charts.bar_chart(
-            [str(y) for y in matrix.years],
-            [means[y] for y in matrix.years],
-            "Mean normalized return outside the training year",
-            "normalized return",
-            out,
-        )
-        made.append(out)
+        made.append(render_cross_test_svg(read_cross_test_csv(ct_csv), d / "cross_test.svg"))
 
     dp_csv = d / DAILY_POLICY_CSV
     if dp_csv.exists():

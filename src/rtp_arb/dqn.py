@@ -45,9 +45,12 @@ class EpsilonSchedule:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.decay_fraction <= 1.0:
-            raise ValueError(f"decay_fraction must be in (0, 1], got {self.decay_fraction}")
-        if self.end > self.start:
-            raise ValueError("schedule must be non-increasing (end > start)")
+            raise ValueError(f"epsilon decay_fraction must be in (0, 1], got {self.decay_fraction}")
+        if not 0.0 <= self.end <= self.start <= 1.0:
+            raise ValueError(
+                f"epsilon must fall within [0, 1] (0 <= end <= start <= 1), "
+                f"got start {self.start} and end {self.end}"
+            )
 
 
 def epsilon_at(schedule: EpsilonSchedule, step: int, total_steps: int) -> float:

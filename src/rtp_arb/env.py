@@ -102,14 +102,15 @@ class PriceSeries:
             raise ValidationError(f"price series needs at least 2 hours, got {len(hours)}")
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise ValidationError(f"non-finite price at position {bad}")
+            raise ValidationError(f"non-finite price at position {bad}", position=bad)
         _require_utc(hours[0])
         for i in range(1, len(hours)):
             _require_utc(hours[i])
             if hours[i] - hours[i - 1] != HOUR:
                 raise ValidationError(
                     f"hours must advance by exactly 1h; gap between "
-                    f"{hours[i - 1].isoformat()} and {hours[i].isoformat()}"
+                    f"{hours[i - 1].isoformat()} and {hours[i].isoformat()}",
+                    position=i,
                 )
         values.setflags(write=False)
         object.__setattr__(self, "hours", hours)

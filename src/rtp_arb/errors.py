@@ -11,7 +11,14 @@ class RtpArbError(Exception):
 
 
 class ValidationError(RtpArbError):
-    """Structured data violates its schema (bad row, gap, non-monotonic hours)."""
+    """Structured data violates its schema (bad row, gap, non-monotonic hours).
+
+    ``position`` is the 0-based index of the offending element, when there is one.
+    """
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class ConfigError(RtpArbError):

@@ -12,6 +12,7 @@ land as CSV files plus SVG charts.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime, timezone
 from pathlib import Path
@@ -51,7 +52,7 @@ from .network import (
     forward_batch,
     init_network,
 )
-from .ingest import TIMESTAMP_FORMAT, parse_timestamp
+from .ingest import TIMESTAMP_FORMAT, parse_timestamp, read_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -92,7 +93,7 @@ class Hyperparams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
-        if self.learning_rate <= 0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "buffer_capacity", "learning_starts", "update_every", "target_sync_every"):
             if getattr(self, name) < 1:
@@ -419,7 +420,7 @@ def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
 
 
 def read_training_curves_csv(path) -> list[TrainingCurve]:
-    rows = _read_rows(path, TRAINING_CURVES_HEADER, 3)
+    rows = read_csv_rows(path, TRAINING_CURVES_HEADER, 3)
     by_year: dict[int, list[tuple[int, float]]] = {}
     for row_no, (year_s, step_s, ret_s) in rows:
         try:
@@ -440,7 +441,7 @@ def write_cross_test_csv(matrix: CrossTestMatrix, path) -> None:
 
 
 def read_cross_test_csv(path) -> CrossTestMatrix:
-    rows = _read_rows(path, CROSS_TEST_HEADER, 4)
+    rows = read_csv_rows(path, CROSS_TEST_HEADER, 4)
     raw_map: dict[tuple[int, int], float] = {}
     norm_map: dict[tuple[int, int], float] = {}
     for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
@@ -470,7 +471,7 @@ def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
 
 
 def read_daily_policy_csv(path) -> DailyPolicyTrace:
-    rows = _read_rows(path, DAILY_POLICY_HEADER, 4)
+    rows = read_csv_rows(path, DAILY_POLICY_HEADER, 4)
     hours = []
     prices = []
     actions = []
@@ -492,25 +493,6 @@ def read_daily_policy_csv(path) -> DailyPolicyTrace:
     return DailyPolicyTrace(tuple(hours), tuple(prices), tuple(actions), tuple(charges))
 
 
-def _read_rows(path, header: str, n_fields: int) -> list[tuple[int, list[str]]]:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"file does not exist: {p}")
-    lines = p.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else ""
-        raise ValidationError(f"{p}: row 1: expected header {header!r}, got {got!r}")
-    out = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ValidationError(f"{p}: row {row_no}: expected {n_fields} fields, got {len(parts)}")
-        out.append((row_no, parts))
-    return out
-
-
 def emit_outputs(
     curves: Sequence[TrainingCurve],
     matrix: CrossTestMatrix | None,
@@ -529,30 +511,13 @@ def emit_outputs(
     curves_csv = out / TRAINING_CURVES_CSV
     write_training_curves_csv(curves, curves_csv)
     written.append(curves_csv)
-    curves_svg = out / "training_curves.svg"
-    charts.line_chart(
-        [charts.Series(str(c.year), c.steps, c.returns) for c in curves],
-        "Greedy return during training",
-        "environment steps",
-        "return (cents)",
-        curves_svg,
-    )
-    written.append(curves_svg)
+    written.append(render_training_curves_svg(curves, out / "training_curves.svg"))
 
     if matrix is not None:
         ct_csv = out / CROSS_TEST_CSV
         write_cross_test_csv(matrix, ct_csv)
         written.append(ct_csv)
-        means = matrix.off_diagonal_means()
-        ct_svg = out / "cross_test.svg"
-        charts.bar_chart(
-            [str(y) for y in matrix.years],
-            [means[y] for y in matrix.years],
-            "Mean normalized return outside the training year",
-            "normalized return",
-            ct_svg,
-        )
-        written.append(ct_svg)
+        written.append(render_cross_test_svg(matrix, out / "cross_test.svg"))
 
     if daily is not None:
         dp_csv = out / DAILY_POLICY_CSV
@@ -576,5 +541,30 @@ def render_daily_policy_svg(trace: DailyPolicyTrace, path) -> Path:
         "price / charge",
         path,
         step=True,
+    )
+    return Path(path)
+
+
+def render_training_curves_svg(curves: Sequence[TrainingCurve], path) -> Path:
+    """One line per agent: greedy return against environment steps."""
+    charts.line_chart(
+        [charts.Series(str(c.year), c.steps, c.returns) for c in curves],
+        "Greedy return during training",
+        "environment steps",
+        "return (cents)",
+        path,
+    )
+    return Path(path)
+
+
+def render_cross_test_svg(matrix: CrossTestMatrix, path) -> Path:
+    """One bar per agent: its mean normalized return outside the training year."""
+    means = matrix.off_diagonal_means()
+    charts.bar_chart(
+        [str(y) for y in matrix.years],
+        [means[y] for y in matrix.years],
+        "Mean normalized return outside the training year",
+        "normalized return",
+        path,
     )
     return Path(path)

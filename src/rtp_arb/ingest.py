@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, time as dtime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -246,45 +246,48 @@ def write_price_csv(series: PriceSeries, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_price_csv(path) -> PriceSeries:
-    """Read the cache format back; errors cite the 1-based offending row."""
+def read_csv_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(row number, fields)`` of a strict comma-separated file, one row at a time.
+
+    Row 1 must be ``header`` exactly and every later row must have ``n_fields``
+    fields; errors cite the 1-based offending row.
+    """
     p = Path(path)
     if not p.exists():
-        raise ValidationError(f"price file does not exist: {p}")
-    text = p.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
+        raise ValidationError(f"file does not exist: {p}")
+    lines = p.read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
         lines.pop()
-    if not lines or lines[0] != CSV_HEADER:
+    if not lines or lines[0] != header:
         got = lines[0] if lines else ""
-        raise ValidationError(f"{p}: row 1: expected header {CSV_HEADER!r}, got {got!r}")
-    if len(lines) < 3:
-        raise InsufficientDataError(f"{p}: fewer than 2 price rows")
+        raise ValidationError(f"{p}: row 1: expected header {header!r}, got {got!r}")
+    for row_no in range(2, len(lines) + 1):
+        parts = lines[row_no - 1].split(",")
+        if len(parts) != n_fields:
+            raise ValidationError(f"{p}: row {row_no}: expected {n_fields} fields, got {len(parts)}")
+        yield row_no, parts
 
+
+def read_price_csv(path) -> PriceSeries:
+    """Read the cache format back; errors cite the 1-based offending row."""
     hours = []
     prices = []
-    for row_no, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"{p}: row {row_no}: expected 2 fields, got {len(parts)}")
+    for row_no, (ts_s, price_s) in read_csv_rows(path, CSV_HEADER, 2):
         try:
-            ts = parse_timestamp(parts[0])
+            hours.append(parse_timestamp(ts_s))
         except ValueError as exc:
-            raise ValidationError(f"{p}: row {row_no}: bad timestamp {parts[0]!r}") from exc
+            raise ValidationError(f"{path}: row {row_no}: bad timestamp {ts_s!r}") from exc
         try:
-            price = float(parts[1])
+            prices.append(float(price_s))
         except ValueError as exc:
-            raise ValidationError(f"{p}: row {row_no}: bad price {parts[1]!r}") from exc
-        if not math.isfinite(price):
-            raise ValidationError(f"{p}: row {row_no}: non-finite price {parts[1]!r}")
-        if hours and ts - hours[-1] != HOUR:
-            raise ValidationError(
-                f"{p}: row {row_no}: hour {parts[0]} does not follow "
-                f"{hours[-1].strftime(TIMESTAMP_FORMAT)} by exactly 1h"
-            )
-        hours.append(ts)
-        prices.append(price)
-    return PriceSeries(hours, prices)
+            raise ValidationError(f"{path}: row {row_no}: bad price {price_s!r}") from exc
+    if len(hours) < 2:
+        raise InsufficientDataError(f"{path}: fewer than 2 price rows")
+    try:
+        return PriceSeries(hours, prices)
+    except ValidationError as exc:
+        # PriceSeries owns the hour-step and finiteness checks; cite the CSV row
+        raise ValidationError(f"{path}: row {exc.position + 2}: {exc}") from exc
 
 
 def default_data_dir() -> Path:

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, precedence, and the full workflow."""
 
+import argparse
+import dataclasses
 import json
 import struct
 from datetime import datetime, timedelta, timezone
@@ -10,7 +12,9 @@ import pytest
 
 from rtp_arb import (
     AdamState,
+    BatteryConfig,
     FiveMinuteSample,
+    Hyperparams,
     ObservationNormalizer,
     PriceSeries,
     QNetwork,
@@ -18,7 +22,7 @@ from rtp_arb import (
     save_checkpoint,
     write_price_csv,
 )
-from rtp_arb.cli import _assemble, _build_parser, run
+from rtp_arb.cli import _KNOBS, RunConfig, _assemble, _build_parser, run
 from rtp_arb.dqn import CHECKPOINT_MAGIC
 
 UTC = timezone.utc
@@ -94,14 +98,14 @@ class TestConfigPrecedence:
             ["train", "--prices", "x.csv", "--config", str(cfg), "--capacity-kwh", "9.0"]
         )
         merged = _assemble(args)
-        assert merged.capacity_kwh == 9.0
+        assert merged.battery.capacity_kwh == 9.0
         assert merged.seed == 4
-        assert merged.rate_kw == 5.0
+        assert merged.battery.rate_kw == 5.0
 
     def test_defaults_without_file(self, clean_env):
         merged = _assemble(self.parse(["train", "--prices", "x.csv"]))
-        assert merged.capacity_kwh == 13.5
-        assert merged.window_hours == 48
+        assert merged.battery.capacity_kwh == 13.5
+        assert merged.battery.window_hours == 48
         assert merged.steps == 200_000
         assert merged.years == (2015, 2016, 2017, 2018, 2019)
 
@@ -127,6 +131,154 @@ class TestConfigPrecedence:
     def test_missing_config_file(self, tmp_path, capsys, clean_env):
         assert run(["oracle", "--prices", "x.csv", "--config", str(tmp_path / "no.cfg")]) == 1
         assert "no.cfg" in capsys.readouterr().err
+
+
+#: Every config key with its attribute path in RunConfig, a non-default value
+#: as written in a config file or on the command line, that value parsed, and
+#: the subcommand whose parser has its flag (None: the key has no flag).
+KNOBS = {
+    "capacity_kwh": ("battery.capacity_kwh", "7.5", 7.5, "oracle"),
+    "rate_kw": ("battery.rate_kw", "2.5", 2.5, "oracle"),
+    "window_hours": ("battery.window_hours", "6", 6, "oracle"),
+    "gamma": ("hyper.gamma", "0.5", 0.5, "train"),
+    "learning_rate": ("hyper.learning_rate", "0.002", 0.002, "train"),
+    "batch_size": ("hyper.batch_size", "16", 16, "train"),
+    "buffer_capacity": ("hyper.buffer_capacity", "500", 500, "train"),
+    "learning_starts": ("hyper.learning_starts", "7", 7, "train"),
+    "update_every": ("hyper.update_every", "3", 3, "train"),
+    "target_sync_every": ("hyper.target_sync_every", "50", 50, "train"),
+    "epsilon_start": ("hyper.epsilon.start", "0.5", 0.5, "train"),
+    "epsilon_end": ("hyper.epsilon.end", "0.01", 0.01, "train"),
+    "epsilon_decay_fraction": ("hyper.epsilon.decay_fraction", "0.3", 0.3, "train"),
+    "steps": ("steps", "400", 400, "train"),
+    "eval_every": ("eval_every", "40", 40, "train"),
+    "seed": ("seed", "9", 9, "train"),
+    "years": ("years", "2016,2018", (2016, 2018), None),
+    "endpoint": ("endpoint", "https://feed.test/api", "https://feed.test/api", "fetch"),
+    "data_dir": ("data_dir", "cache-dir", Path("cache-dir"), "oracle"),
+    "out_dir": ("out_dir", "results", Path("results"), "oracle"),
+}
+
+#: The options of each subcommand, as the CLI has always had them.
+COMMON_FLAGS = {
+    "-h", "--help", "--config", "--capacity-kwh", "--rate-kw", "--window-hours",
+    "--data-dir", "--out-dir",
+}
+SUBCOMMAND_FLAGS = {
+    "fetch": COMMON_FLAGS | {"--year", "--force", "--endpoint"},
+    "train": COMMON_FLAGS | {
+        "--prices", "--steps", "--eval-every", "--seed", "--gamma", "--learning-rate",
+        "--batch-size", "--buffer-capacity", "--learning-starts", "--update-every",
+        "--target-sync-every", "--epsilon-start", "--epsilon-end", "--epsilon-decay-fraction",
+    },
+    "eval": COMMON_FLAGS | {"--checkpoint", "--prices", "--day"},
+    "cross-test": COMMON_FLAGS | {"--manifest"},
+    "oracle": COMMON_FLAGS | {"--prices"},
+    "plot": COMMON_FLAGS | {"--in"},
+}
+
+#: Required arguments of the subcommands the knob tests parse.
+REQUIRED = {"fetch": [], "train": ["--prices", "x.csv"], "oracle": ["--prices", "x.csv"]}
+
+
+def subcommand_parsers():
+    parser = _build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def resolve(obj, dotted):
+    for name in dotted.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def leaf_paths(cls, prefix=""):
+    out = []
+    for f in dataclasses.fields(cls):
+        default = getattr(cls(), f.name)
+        if dataclasses.is_dataclass(default):
+            out += leaf_paths(type(default), f"{prefix}{f.name}.")
+        else:
+            out.append(prefix + f.name)
+    return out
+
+
+class TestKnobs:
+    """Each knob is declared once, in its dataclass; keys and flags follow from it."""
+
+    def test_table_covers_every_leaf_field(self):
+        expected = (
+            [f"battery.{p}" for p in leaf_paths(BatteryConfig)]
+            + [f"hyper.{p}" for p in leaf_paths(Hyperparams)]
+            + [f.name for f in dataclasses.fields(RunConfig) if f.name not in ("battery", "hyper")]
+        )
+        assert sorted(path for path, *_ in KNOBS.values()) == sorted(expected)
+        assert set(_KNOBS) == set(KNOBS)
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
+    def test_flag_set_of_each_subcommand(self, command):
+        flags = {s for a in subcommand_parsers()[command]._actions for s in a.option_strings}
+        assert flags == SUBCOMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_default_comes_from_the_dataclass(self, key, clean_env):
+        path = KNOBS[key][0]
+        section, _, rest = path.partition(".")
+        owner = {"battery": BatteryConfig(), "hyper": Hyperparams()}.get(section)
+        default = resolve(owner, rest) if owner is not None else getattr(RunConfig(), path)
+        merged = _assemble(_build_parser().parse_args(["train"] + REQUIRED["train"]))
+        assert resolve(merged, path) == default
+        assert default != KNOBS[key][2]
+
+    @pytest.mark.parametrize("key", sorted(KNOBS))
+    def test_config_key_sets_the_field(self, key, tmp_path, clean_env):
+        path, text, value, _ = KNOBS[key]
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        args = _build_parser().parse_args(["train"] + REQUIRED["train"] + ["--config", str(cfg)])
+        assert resolve(_assemble(args), path) == value
+
+    @pytest.mark.parametrize("key", sorted(k for k, knob in KNOBS.items() if knob[3]))
+    def test_flag_sets_the_field(self, key, clean_env):
+        path, text, value, command = KNOBS[key]
+        flag = "--" + key.replace("_", "-")
+        args = _build_parser().parse_args([command] + REQUIRED[command] + [flag, text])
+        assert resolve(_assemble(args), path) == value
+
+
+class TestKnobErrors:
+    """Bad exploration or learning-rate settings exit 1 before any training."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--epsilon-end", "2"],
+            ["--epsilon-decay-fraction", "0"],
+            ["--epsilon-start", "2"],  # once accepted, then failed in select_action
+            ["--epsilon-end", "-0.5"],
+            ["--learning-rate", "nan"],  # once exited 0 when no update ran
+        ],
+    )
+    def test_train_flag(self, tmp_path, capsys, clean_env, flags):
+        prices = wave_csv(tmp_path / "p.csv")
+        out_dir = tmp_path / "out"
+        argv = ["train", "--prices", prices, "--out-dir", str(out_dir), "--steps", "48"]
+        code = run(argv + ["--eval-every", "24", "--learning-starts", "100"] + flags)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_config_epsilon_start_on_oracle(self, tmp_path, capsys, clean_env):
+        prices = wave_csv(tmp_path / "p.csv")
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("epsilon_start = 0.01\n")
+        code = run(["oracle", "--prices", prices, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and "epsilon" in captured.err
+        assert captured.out == ""
 
 
 class TestDataDirPrecedence:
