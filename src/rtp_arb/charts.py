@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
+
+from .atomic import atomic_write
 
 WIDTH = 720
 HEIGHT = 420
@@ -123,7 +124,8 @@ def _scaler(x_range, y_range):
 
 
 def _write(svg: ET.Element, path) -> None:
-    Path(path).write_bytes(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))
+    with atomic_write(path) as fh:
+        fh.write(ET.tostring(svg, xml_declaration=True, encoding="utf-8"))
 
 
 def line_chart(

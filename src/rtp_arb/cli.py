@@ -99,6 +99,8 @@ class RunConfig:
 #: Subcommands whose parser has flags for a RunConfig field (one per leaf of
 #: battery and hyper). Fields not listed have flags on every subcommand.
 _FLAGS_ON = {
+    # eval and cross-test take the battery from checkpoint metadata
+    "battery": ("train", "oracle"),
     "hyper": ("train",),
     "steps": ("train",),
     "eval_every": ("train",),

@@ -17,6 +17,7 @@ from typing import Any
 
 import numpy as np
 
+from .atomic import atomic_write
 from .env import Action, Transition
 from .errors import CheckpointError, TrainingDivergedError
 from .network import (
@@ -127,10 +128,10 @@ class ReplayBuffer:
 def push_transition(buffer: ReplayBuffer, t: Transition) -> None:
     """Append one transition, evicting the oldest entry when full."""
     i = buffer._cursor
-    buffer._obs[i] = t.obs.vector()
+    t.obs.write_into(buffer._obs[i])
     buffer._actions[i] = int(t.action)
     buffer._rewards[i] = t.reward
-    buffer._next_obs[i] = t.next_obs.vector()
+    t.next_obs.write_into(buffer._next_obs[i])
     buffer._dones[i] = t.done
     buffer._cursor = (i + 1) % buffer.capacity
     buffer._size = min(buffer._size + 1, buffer.capacity)
@@ -143,12 +144,13 @@ def sample_batch(
     if len(buffer) < batch_size:
         return None
     idx = rng.integers(len(buffer), size=batch_size)
+    # fancy indexing copies, so the batch never aliases the ring
     return (
-        buffer._obs[idx].copy(),
-        buffer._actions[idx].copy(),
-        buffer._rewards[idx].copy(),
-        buffer._next_obs[idx].copy(),
-        buffer._dones[idx].copy(),
+        buffer._obs[idx],
+        buffer._actions[idx],
+        buffer._rewards[idx],
+        buffer._next_obs[idx],
+        buffer._dones[idx],
     )
 
 
@@ -197,8 +199,7 @@ def train_step(
 
 def sync_target(net: QNetwork, target_net: QNetwork) -> None:
     """Hard-copy online parameters into the target network."""
-    for src, dst in zip(net.parameters(), target_net.parameters()):
-        dst[...] = src
+    target_net.flat[:] = net.flat
 
 
 @dataclass(frozen=True)
@@ -223,8 +224,9 @@ def save_checkpoint(
     Layout: 8-byte magic, uint32 LE version, uint32 LE header length, UTF-8
     JSON header, then one contiguous float64 little-endian block (row-major)
     per array: network parameters in ``net.parameters()`` order, then first
-    optimizer moments, then second moments. ``metadata`` must be
-    JSON-serializable.
+    optimizer moments, then second moments; that is ``net.flat``, ``opt.m``
+    and ``opt.v`` end to end. ``metadata`` must be JSON-serializable. The
+    file is replaced whole or not at all.
     """
     header = {
         "layer_dims": list(net.layer_dims),
@@ -243,13 +245,12 @@ def save_checkpoint(
         "metadata": metadata,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blocks = net.parameters() + opt.first_moment + opt.second_moment
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for flat in (net.flat, opt.m, opt.v):
+            fh.write(flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -299,7 +300,8 @@ def load_checkpoint(path) -> Checkpoint:
         end = off + 8 * count
         if end > len(blob):
             raise CheckpointError(f"checkpoint {path} parameter block is truncated")
-        arr = np.frombuffer(blob[off:end], dtype="<f8").astype(np.float64).reshape(shape)
+        # read-only; QNetwork and AdamState copy it in
+        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
         off = end
         return arr
 

@@ -166,9 +166,16 @@ class Observation:
     recent_prices: np.ndarray
     charge_kwh: float
 
+    def write_into(self, row: np.ndarray) -> None:
+        """Write the network input layout, prices then charge, into ``row`` (L+1,)."""
+        row[:-1] = self.recent_prices
+        row[-1] = self.charge_kwh
+
     def vector(self) -> np.ndarray:
-        """Flatten to the network input layout: prices then charge."""
-        return np.append(self.recent_prices, self.charge_kwh)
+        """A new (L+1,) float64 vector in the network input layout."""
+        row = np.empty(len(self.recent_prices) + 1)
+        self.write_into(row)
+        return row
 
 
 @dataclass(eq=False)

@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import charts
+from .atomic import write_lines
 from .dqn import (
     Checkpoint,
     EpsilonSchedule,
@@ -407,16 +408,12 @@ def daily_policy_trace(
     )
 
 
-def _write_lines(path: Path, lines: Sequence[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
     lines = [TRAINING_CURVES_HEADER]
     for curve in curves:
         for s, r in curve.points:
             lines.append(f"{curve.year},{s},{r!r}")
-    _write_lines(Path(path), lines)
+    write_lines(path, lines)
 
 
 def read_training_curves_csv(path) -> list[TrainingCurve]:
@@ -437,7 +434,7 @@ def write_cross_test_csv(matrix: CrossTestMatrix, path) -> None:
             norm = matrix.normalized[i, j]
             norm_s = repr(float(norm)) if np.isfinite(norm) else ""
             lines.append(f"{agent_year},{test_year},{float(matrix.raw[i, j])!r},{norm_s}")
-    _write_lines(Path(path), lines)
+    write_lines(path, lines)
 
 
 def read_cross_test_csv(path) -> CrossTestMatrix:
@@ -467,7 +464,7 @@ def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
         trace.hours, trace.prices, trace.actions, trace.charge_after
     ):
         lines.append(f"{ts.strftime(TIMESTAMP_FORMAT)},{price!r},{action},{charge!r}")
-    _write_lines(Path(path), lines)
+    write_lines(path, lines)
 
 
 def read_daily_policy_csv(path) -> DailyPolicyTrace:

@@ -26,6 +26,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
+from .atomic import write_lines
 from .env import HOUR, PriceSeries
 from .errors import InsufficientDataError, ParseError, TransportError, ValidationError
 
@@ -243,7 +244,7 @@ def write_price_csv(series: PriceSeries, path) -> None:
     lines = [CSV_HEADER]
     for ts, price in zip(series.hours, series.prices):
         lines.append(f"{ts.strftime(TIMESTAMP_FORMAT)},{float(price)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def read_csv_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:

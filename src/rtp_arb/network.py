@@ -11,7 +11,8 @@ suite check gradients against finite differences directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +24,40 @@ HIDDEN_DIMS = (64, 64)
 ACTION_COUNT = 3
 
 
-@dataclass(eq=False)
+def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Copy ``arrays`` into one new float64 vector, end to end in list order.
+
+    Returns the vector and one view of it per array, in the array's shape.
+    """
+    flat = np.empty(sum(np.size(a) for a in arrays))
+    views = []
+    offset = 0
+    for a in arrays:
+        a = np.asarray(a)
+        view = flat[offset : offset + a.size].reshape(a.shape)
+        view[...] = a
+        views.append(view)
+        offset += a.size
+    return flat, views
+
+
 class QNetwork:
     """Layer parameters of the Q-function approximator.
 
     ``weights[k]`` has shape (fan_in, fan_out); activations flow left to
     right through rectified-linear hidden layers onto a linear output of
     width 3 (the per-action Q-values).
+
+    All parameters live in one contiguous vector, ``flat``, in
+    :meth:`parameters` order; ``weights`` and ``biases`` are tuples of views
+    into it, so a layer can only be changed in place. The constructor copies
+    the given arrays in.
     """
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]):
+        self.flat, params = _pack([p for pair in zip(weights, biases) for p in pair])
+        self.weights = tuple(params[0::2])
+        self.biases = tuple(params[1::2])
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -52,7 +76,7 @@ class QNetwork:
         return out
 
     def clone(self) -> "QNetwork":
-        return QNetwork([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return QNetwork(self.weights, self.biases)
 
 
 def init_network(window_hours: int, seed: int, hidden_dims: tuple[int, ...] = HIDDEN_DIMS) -> QNetwork:
@@ -96,9 +120,16 @@ class ObservationNormalizer:
             std = 1.0
         return cls(mean, std, capacity_kwh)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Normalize an input vector (L+1,) or batch (B, L+1)."""
-        out = np.array(x, dtype=np.float64)
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normalize an input vector (L+1,) or batch (B, L+1).
+
+        Writes into a new array, or into ``out`` when given (``out`` may be
+        ``x`` itself, to normalize in place).
+        """
+        if out is None:
+            out = np.array(x, dtype=np.float64)
+        elif out is not x:
+            out[...] = x
         out[..., :-1] -= self.price_mean
         out[..., :-1] /= self.price_std
         out[..., -1] /= self.charge_scale
@@ -120,12 +151,15 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
     """Q-values (3,) for one raw observation."""
-    vec = norm.apply(obs.vector())
-    if vec.shape[0] != net.input_dim:
+    width = len(obs.recent_prices)
+    if width + 1 != net.input_dim:
         raise ValueError(
-            f"observation width {vec.shape[0]} does not match network input {net.input_dim}"
+            f"observation width {width + 1} does not match network input {net.input_dim}"
         )
-    return forward_batch(net, vec[None, :])[0]
+    x = np.empty((1, width + 1))
+    obs.write_into(x[0])
+    norm.apply(x, out=x)
+    return forward_batch(net, x)[0]
 
 
 def td_loss_and_grads(
@@ -179,24 +213,34 @@ def td_loss_and_grads(
 
 @dataclass(eq=False)
 class AdamState:
-    """Adaptive-moment optimizer state for one network."""
+    """Adaptive-moment optimizer state for one network.
+
+    The moments live in flat vectors ``m`` and ``v`` laid out like
+    ``QNetwork.flat``; ``first_moment`` and ``second_moment`` become tuples
+    of views into them, one per parameter array. The constructor copies the
+    given arrays in.
+    """
 
     learning_rate: float = 1e-4
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
+    first_moment: Sequence[np.ndarray] = ()
+    second_moment: Sequence[np.ndarray] = ()
+
+    def __post_init__(self) -> None:
+        self.m, first = _pack(self.first_moment)
+        self.v, second = _pack(self.second_moment)
+        self.first_moment, self.second_moment = tuple(first), tuple(second)
+        # scratch for adam_update, so a step allocates nothing
+        self._grad = np.empty_like(self.m)
+        self._step = np.empty_like(self.m)
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float = 1e-4) -> "AdamState":
-        params = net.parameters()
-        return cls(
-            learning_rate=learning_rate,
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-        )
+        zeros = [np.zeros_like(p) for p in net.parameters()]
+        return cls(learning_rate=learning_rate, first_moment=zeros, second_moment=zeros)
 
     def clone(self) -> "AdamState":
         return AdamState(
@@ -205,20 +249,37 @@ class AdamState:
             self.beta2,
             self.epsilon,
             self.step_count,
-            [m.copy() for m in self.first_moment],
-            [v.copy() for v in self.second_moment],
+            self.first_moment,
+            self.second_moment,
         )
 
 
 def adam_update(opt: AdamState, net: QNetwork, grads: list[np.ndarray]) -> None:
-    """Apply one bias-corrected adaptive-moment step in place."""
+    """Apply one bias-corrected adaptive-moment step in place.
+
+    One pass of in-place vector operations over the flat parameters and
+    moments. Each element sees the arithmetic of the per-array rule
+    ``m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+    p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in the same order, so the
+    result is the same bit for bit.
+    """
     opt.step_count += 1
     t = opt.step_count
     c1 = 1.0 - opt.beta1**t
     c2 = 1.0 - opt.beta2**t
-    for p, g, m, v in zip(net.parameters(), grads, opt.first_moment, opt.second_moment):
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p -= opt.learning_rate * (m / c1) / (np.sqrt(v / c2) + opt.epsilon)
+    g = np.concatenate(grads, axis=None, out=opt._grad)
+    m, v, s = opt.m, opt.v, opt._step
+    m *= opt.beta1
+    np.multiply(g, 1.0 - opt.beta1, out=s)
+    m += s
+    v *= opt.beta2
+    np.multiply(g, 1.0 - opt.beta2, out=s)
+    s *= g
+    v += s
+    np.divide(m, c1, out=s)
+    s *= opt.learning_rate
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += opt.epsilon
+    s /= g
+    net.flat -= s

@@ -159,21 +159,21 @@ KNOBS = {
     "out_dir": ("out_dir", "results", Path("results"), "oracle"),
 }
 
-#: The options of each subcommand, as the CLI has always had them.
-COMMON_FLAGS = {
-    "-h", "--help", "--config", "--capacity-kwh", "--rate-kw", "--window-hours",
-    "--data-dir", "--out-dir",
-}
+#: The options of each subcommand. The battery flags are on the two
+#: subcommands that read them; eval and cross-test take the battery from
+#: checkpoint metadata.
+COMMON_FLAGS = {"-h", "--help", "--config", "--data-dir", "--out-dir"}
+BATTERY_FLAGS = {"--capacity-kwh", "--rate-kw", "--window-hours"}
 SUBCOMMAND_FLAGS = {
     "fetch": COMMON_FLAGS | {"--year", "--force", "--endpoint"},
-    "train": COMMON_FLAGS | {
+    "train": COMMON_FLAGS | BATTERY_FLAGS | {
         "--prices", "--steps", "--eval-every", "--seed", "--gamma", "--learning-rate",
         "--batch-size", "--buffer-capacity", "--learning-starts", "--update-every",
         "--target-sync-every", "--epsilon-start", "--epsilon-end", "--epsilon-decay-fraction",
     },
     "eval": COMMON_FLAGS | {"--checkpoint", "--prices", "--day"},
     "cross-test": COMMON_FLAGS | {"--manifest"},
-    "oracle": COMMON_FLAGS | {"--prices"},
+    "oracle": COMMON_FLAGS | BATTERY_FLAGS | {"--prices"},
     "plot": COMMON_FLAGS | {"--in"},
 }
 
@@ -279,6 +279,30 @@ class TestKnobErrors:
         assert code == 1
         assert captured.err.startswith("error:") and "epsilon" in captured.err
         assert captured.out == ""
+
+
+class TestBatteryFlags:
+    """The battery flags exist only where the battery is read; the file keys stay everywhere."""
+
+    ARGS = {
+        "eval": ["--checkpoint", "a.ckpt", "--prices", "x.csv"],
+        "cross-test": ["--manifest", "m.csv"],
+        "plot": ["--in", "results"],
+        "fetch": ["--year", "2018"],
+    }
+
+    @pytest.mark.parametrize("flag", sorted(BATTERY_FLAGS))
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_flag_is_a_usage_error(self, command, flag, capsys, clean_env):
+        assert run([command, *self.ARGS[command], flag, "99"]) == 2
+        assert f"unrecognized arguments: {flag} 99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(ARGS))
+    def test_config_keys_still_accepted(self, command, tmp_path, clean_env):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text("capacity_kwh = 99\nrate_kw = 9\nwindow_hours = 7\n")
+        args = _build_parser().parse_args([command, *self.ARGS[command], "--config", str(cfg)])
+        assert _assemble(args).battery == BatteryConfig(99.0, 9.0, 7)
 
 
 class TestDataDirPrecedence:

@@ -4,12 +4,16 @@ The tests that compare two runs of the same code cannot see a change that
 moves both. These pin the values themselves. They are what the default
 OpenBLAS build gives: another BLAS build may round the matrix products
 differently and move them, in which case they must be re-recorded and the
-change noted.
+change noted. The SHA-256 digests of checkpoint bytes are the most fragile
+of these, since every parameter and moment bit counts; the curve values
+(exact integers here) are the portable part of each pin.
 """
 
-from datetime import datetime, timezone
+import hashlib
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
+import pytest
 
 from conftest import square_wave_series
 from rtp_arb import (
@@ -21,15 +25,61 @@ from rtp_arb import (
     PriceSeries,
     cross_test,
     init_network,
+    save_checkpoint,
     train_agent,
 )
 
 
-def test_square_wave_curve_at_seed_0():
-    curve, _ = train_agent(
+def checkpoint_sha256(ckpt: Checkpoint, tmp_path) -> str:
+    path = tmp_path / "agent.ckpt"
+    save_checkpoint(ckpt.net, ckpt.opt, ckpt.norm, ckpt.metadata, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def square_wave_run():
+    return train_agent(
         square_wave_series(), BatteryConfig(), Hyperparams(), total_steps=20_000, eval_every=10_000, seed=0
     )
+
+
+def test_square_wave_curve_at_seed_0(square_wave_run):
+    curve, _ = square_wave_run
     assert curve.points == ((0, 0.0), (10_000, 7280.0), (20_000, 19642.0))
+
+
+def test_square_wave_checkpoint_bytes_at_seed_0(square_wave_run, tmp_path):
+    _, ckpt = square_wave_run
+    assert checkpoint_sha256(ckpt, tmp_path) == (
+        "ba6a95068331bc9f1012a8af1d98c913af5cdd40f171930ce77f874b03da00cb"
+    )
+
+
+def test_small_wave_run_curve_and_checkpoint_bytes(tmp_path):
+    # six days of 1/5-cent half-days on a 4 kWh, 2 kW battery; the best
+    # evaluation is at step 100, after 47 optimizer steps, so the pinned
+    # bytes cover trained parameters and nonzero moments
+    start = datetime(2021, 1, 1, tzinfo=timezone.utc)
+    prices = ([1.0] * 12 + [5.0] * 12) * 6
+    series = PriceSeries([start + i * timedelta(hours=1) for i in range(len(prices))], prices)
+    hyper = Hyperparams(
+        learning_rate=1e-3,
+        batch_size=8,
+        buffer_capacity=256,
+        learning_starts=8,
+        update_every=2,
+        target_sync_every=10,
+    )
+    curve, ckpt = train_agent(
+        series, BatteryConfig(4.0, 2.0, 4), hyper, total_steps=600, eval_every=100, seed=0
+    )
+    assert curve.points == (
+        (0, 16.0), (100, 96.0), (200, 0.0), (300, 16.0), (400, 56.0), (500, 16.0), (600, 16.0)
+    )
+    assert ckpt.opt.step_count == 47
+    assert checkpoint_sha256(ckpt, tmp_path) == (
+        "e063a1d526090b8b40520902e96322f54ad9924a734a49034581ca349e7bce59"
+    )
 
 
 def synthetic_year(year: int, hours: int = 400) -> PriceSeries:

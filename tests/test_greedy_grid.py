@@ -19,6 +19,7 @@ from rtp_arb import (
     BatteryConfig,
     ObservationNormalizer,
     PriceSeries,
+    QNetwork,
     forward,
     greedy_rollout,
     init_network,
@@ -106,9 +107,9 @@ def test_window_rows_equal_observations(config, hours):
 
 def test_rejects_network_without_one_output_per_action():
     config = CONFIGS[3]
-    net = init_network(config.window_hours, 0, hidden_dims=(4,))
-    net.weights[-1] = np.zeros((4, 4))
-    net.biases[-1] = np.zeros(4)
+    net = QNetwork(
+        [np.zeros((config.window_hours + 1, 4)), np.zeros((4, 4))], [np.zeros(4), np.zeros(4)]
+    )
     prices = random_walk(0, 10)
     with pytest.raises(ValueError, match="4 outputs"):
         greedy_rollout(net, ObservationNormalizer(0.0, 1.0, 1.0), prices, config)
