@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import atomic_write
-from .env import Action, Transition
+from .env import Action
 from .errors import CheckpointError, TrainingDivergedError
 from .network import (
     ACTION_COUNT,
@@ -27,6 +27,7 @@ from .network import (
     QNetwork,
     adam_update,
     forward_batch,
+    input_rows,
     td_loss_and_grads,
 )
 
@@ -94,76 +95,78 @@ def select_action(
 class ReplayBuffer:
     """Fixed-capacity experience ring with uniform sampling.
 
-    Transitions are stored as preallocated flat arrays so steady-state
-    training does no allocation; once full, new entries overwrite the oldest.
+    An entry is a state (hour index, charge), the action, the reward, the
+    charge after the action and the episode-end flag; the next state is
+    (hour + 1, charge after). Sampling rebuilds network inputs from
+    ``windows`` (:meth:`ObservationNormalizer.price_windows` of the series)
+    and ``charge_scale``. Once full, new entries overwrite the oldest.
     """
 
-    def __init__(self, capacity: int, obs_dim: int):
+    def __init__(self, capacity: int, windows: np.ndarray, charge_scale: float):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._obs = np.empty((capacity, obs_dim))
-        self._actions = np.empty(capacity, dtype=np.intp)
-        self._rewards = np.empty(capacity)
-        self._next_obs = np.empty((capacity, obs_dim))
-        self._dones = np.empty(capacity, dtype=bool)
-        self._cursor = 0
-        self._size = 0
+        self.windows = windows
+        self.charge_scale = charge_scale
+        self.hours = np.empty(capacity, dtype=np.int32)
+        self.charges = np.empty(capacity)
+        self.actions = np.empty(capacity, dtype=np.int8)
+        self.rewards = np.empty(capacity)
+        self.next_charges = np.empty(capacity)
+        self.dones = np.empty(capacity, dtype=bool)
+        self.pushes = 0  # ever; the next entry goes to slot pushes % capacity
 
     def __len__(self) -> int:
-        return self._size
-
-    def contents(self) -> Batch:
-        """Copies of the stored transitions (no particular order)."""
-        n = self._size
-        return (
-            self._obs[:n].copy(),
-            self._actions[:n].copy(),
-            self._rewards[:n].copy(),
-            self._next_obs[:n].copy(),
-            self._dones[:n].copy(),
-        )
+        return min(self.pushes, self.capacity)
 
 
-def push_transition(buffer: ReplayBuffer, t: Transition) -> None:
-    """Append one transition, evicting the oldest entry when full."""
-    i = buffer._cursor
-    t.obs.write_into(buffer._obs[i])
-    buffer._actions[i] = int(t.action)
-    buffer._rewards[i] = t.reward
-    t.next_obs.write_into(buffer._next_obs[i])
-    buffer._dones[i] = t.done
-    buffer._cursor = (i + 1) % buffer.capacity
-    buffer._size = min(buffer._size + 1, buffer.capacity)
+def push_transition(
+    buffer: ReplayBuffer,
+    hour: int,
+    charge: float,
+    action: Action,
+    reward: float,
+    next_charge: float,
+    done: bool,
+) -> None:
+    """Append one transition from (hour, charge), evicting the oldest entry when full."""
+    i = buffer.pushes % buffer.capacity
+    buffer.hours[i] = hour
+    buffer.charges[i] = charge
+    buffer.actions[i] = action
+    buffer.rewards[i] = reward
+    buffer.next_charges[i] = next_charge
+    buffer.dones[i] = done
+    buffer.pushes += 1
 
 
 def sample_batch(
     buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
 ) -> Batch | None:
-    """Uniform batch with replacement, or None while the buffer is underfull."""
+    """Uniform batch with replacement, or None while the buffer is underfull.
+
+    The batch is (inputs, actions, rewards, next inputs, dones), inputs
+    normalized; fancy indexing copies, so nothing aliases the ring.
+    """
     if len(buffer) < batch_size:
         return None
     idx = rng.integers(len(buffer), size=batch_size)
-    # fancy indexing copies, so the batch never aliases the ring
+    hours = buffer.hours[idx]
     return (
-        buffer._obs[idx],
-        buffer._actions[idx],
-        buffer._rewards[idx],
-        buffer._next_obs[idx],
-        buffer._dones[idx],
+        input_rows(buffer.windows, hours, buffer.charges[idx], buffer.charge_scale),
+        buffer.actions[idx],
+        buffer.rewards[idx],
+        input_rows(buffer.windows, hours + 1, buffer.next_charges[idx], buffer.charge_scale),
+        buffer.dones[idx],
     )
 
 
 def td_targets(
-    target_net: QNetwork,
-    norm: ObservationNormalizer,
-    rewards: np.ndarray,
-    next_obs: np.ndarray,
-    dones: np.ndarray,
-    gamma: float,
+    target_net: QNetwork, rewards: np.ndarray, next_x: np.ndarray, dones: np.ndarray, gamma: float
 ) -> np.ndarray:
-    """Bootstrap targets r + gamma * max_a Q_target(s', a), truncated at episode end."""
-    q_next = forward_batch(target_net, norm.apply(next_obs))
+    """Bootstrap targets r + gamma * max_a Q_target(s', a) for normalized next
+    inputs ``next_x``, truncated at episode end."""
+    q_next = forward_batch(target_net, next_x)
     return rewards + gamma * q_next.max(axis=1) * ~np.asarray(dones, dtype=bool)
 
 
@@ -174,7 +177,6 @@ def train_step(
     opt: AdamState,
     batch_size: int,
     gamma: float,
-    norm: ObservationNormalizer,
     rng: np.random.Generator,
 ) -> float | None:
     """One sampled gradient update on the online network.
@@ -186,9 +188,9 @@ def train_step(
     batch = sample_batch(buffer, batch_size, rng)
     if batch is None:
         return None
-    obs, actions, rewards, next_obs, dones = batch
-    targets = td_targets(target_net, norm, rewards, next_obs, dones, gamma)
-    loss, grads = td_loss_and_grads(net, norm.apply(obs), actions, targets)
+    x, actions, rewards, next_x, dones = batch
+    targets = td_targets(target_net, rewards, next_x, dones, gamma)
+    loss, grads = td_loss_and_grads(net, x, actions, targets)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite loss {loss!r} at optimizer step {opt.step_count + 1}"

@@ -180,7 +180,7 @@ class Observation:
 
 @dataclass(eq=False)
 class Transition:
-    """One replay unit: (obs, action, reward, next obs, episode-end flag)."""
+    """One environment step: (obs, action, reward, next obs, episode-end flag)."""
 
     obs: Observation
     action: Action
@@ -230,18 +230,6 @@ def _observation(prices: PriceSeries, config: BatteryConfig, n: int, charge: flo
     else:
         window = np.concatenate([np.full(-lo, arr[0]), arr[: n + 1]])
     return Observation(window, charge)
-
-
-def price_windows(prices: PriceSeries, config: BatteryConfig) -> np.ndarray:
-    """Read-only (M, window_hours) matrix: row ``n`` is the price window of hour ``n``.
-
-    Padded as in the observation (copies of the first price before the
-    series start), so row ``n`` equals the ``recent_prices`` of any
-    observation at hour ``n``. Rows are views into one padded array.
-    """
-    arr = prices.prices
-    padded = np.concatenate([np.full(config.window_hours - 1, arr[0]), arr])
-    return np.lib.stride_tricks.sliding_window_view(padded, config.window_hours)
 
 
 def reset(
@@ -306,16 +294,16 @@ def reachable_charges(config: BatteryConfig) -> set[float]:
     return states
 
 
-def successor_table(levels: Sequence[float], config: BatteryConfig) -> np.ndarray:
-    """(n_levels, 3) index table: ``levels[i]`` under action ``a`` lands on
-    ``levels[table[i, a]]``. ``levels`` must be closed under the moves, as
-    the sorted :func:`reachable_charges` are."""
+def charge_grid(config: BatteryConfig) -> tuple[list[float], np.ndarray]:
+    """The sorted :func:`reachable_charges` and their (n_levels, 3) successor
+    table: ``levels[i]`` under action ``a`` lands on ``levels[table[i, a]]``."""
+    levels = sorted(reachable_charges(config))
     index = {w: i for i, w in enumerate(levels)}
     table = np.empty((len(levels), len(Action)), dtype=np.intp)
     for i, w in enumerate(levels):
         for a in Action:
             table[i, a] = index[apply_action(w, a, config)]
-    return table
+    return levels, table
 
 
 def episode_return(transitions: Iterable[Transition]) -> float:

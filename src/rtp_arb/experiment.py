@@ -37,12 +37,9 @@ from .env import (
     Action,
     BatteryConfig,
     PriceSeries,
-    Transition,
-    price_windows,
-    reachable_charges,
+    charge_grid,
     reset,
     step,
-    successor_table,
 )
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import (
@@ -52,6 +49,7 @@ from .network import (
     forward,
     forward_batch,
     init_network,
+    input_rows,
 )
 from .ingest import TIMESTAMP_FORMAT, parse_timestamp, read_csv_rows
 
@@ -153,18 +151,25 @@ def greedy_rollout(
     walk through each block of that table and the successor table. Rewards
     accumulate in step order with the float arithmetic of
     :func:`rtp_arb.env.reward`.
+
+    A network whose input width does not fit ``config`` (a checkpoint
+    evaluated with another window) is a ConfigError.
     """
+    if net.input_dim != config.window_hours + 1:
+        raise ConfigError(
+            f"network expects observation width {net.input_dim}, "
+            f"config window needs {config.window_hours + 1}"
+        )
     if net.layer_dims[-1] != len(Action):
         raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
-    levels = sorted(reachable_charges(config))
-    succ = successor_table(levels, config).tolist()
-    windows = price_windows(prices, config)
-    n_steps, n_levels, width = len(prices) - 1, len(levels), config.window_hours
+    levels, table = charge_grid(config)
+    succ = table.tolist()
+    windows = norm.price_windows(prices.prices, config.window_hours)
+    n_steps, n_levels = len(prices) - 1, len(levels)
 
-    # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]),
-    # normalized exactly as ObservationNormalizer.apply does it.
-    x = np.empty((GREEDY_BLOCK_HOURS * n_levels, width + 1))
-    x[:, width] = np.tile(np.array(levels) / norm.charge_scale, GREEDY_BLOCK_HOURS)
+    # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]).
+    block_hours = np.repeat(np.arange(GREEDY_BLOCK_HOURS), n_levels)
+    block_charges = np.tile(levels, GREEDY_BLOCK_HOURS)
     deltas = np.diff(prices.prices).tolist()  # p[n+1] - p[n], rounded as in env.reward
     i = levels.index(0.0)
     total = 0.0
@@ -172,11 +177,9 @@ def greedy_rollout(
     charges: list[float] = []
     for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
         hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
-        block = x[: (hi - lo) * n_levels]
-        block[:, :width] = np.repeat(windows[lo:hi], n_levels, axis=0)
-        block[:, :width] -= norm.price_mean
-        block[:, :width] /= norm.price_std
-        greedy = forward_batch(net, block).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
+        rows = (hi - lo) * n_levels
+        x = input_rows(windows, block_hours[:rows] + lo, block_charges[:rows], norm.charge_scale)
+        greedy = forward_batch(net, x).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
         for n, row in enumerate(greedy, lo):
             total += levels[i] * deltas[n]
             a = row[i]
@@ -214,7 +217,8 @@ def train_agent(
     target = net.clone()
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
-    buffer = ReplayBuffer(hyper.buffer_capacity, config.window_hours + 1)
+    windows = norm.price_windows(prices.prices, config.window_hours)
+    buffer = ReplayBuffer(hyper.buffer_capacity, windows, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
 
@@ -236,14 +240,12 @@ def train_agent(
         eps = epsilon_at(hyper.epsilon, k, total_steps)
         a = select_action(forward(net, obs, norm), eps, explore_rng)
         new_state, new_obs, r, done = step(state, a, prices, config)
-        push_transition(buffer, Transition(obs, a, r, new_obs, done))
+        push_transition(buffer, state.step_index, state.charge_kwh, a, r, new_state.charge_kwh, done)
         state, obs = (new_state, new_obs) if not done else reset(prices, config)
 
         if k + 1 >= hyper.learning_starts and (k + 1) % hyper.update_every == 0:
             try:
-                loss = train_step(
-                    net, target, buffer, opt, hyper.batch_size, hyper.gamma, norm, sample_rng
-                )
+                loss = train_step(net, target, buffer, opt, hyper.batch_size, hyper.gamma, sample_rng)
             except TrainingDivergedError as exc:
                 exc.curve = TrainingCurve(year, tuple(points))
                 raise
@@ -285,12 +287,6 @@ def checkpoint_config(ckpt: Checkpoint) -> BatteryConfig:
 
 def evaluate_greedy(ckpt: Checkpoint, prices: PriceSeries, config: BatteryConfig) -> float:
     """Full-series greedy return of a saved agent, from an empty battery."""
-    expected = config.window_hours + 1
-    if ckpt.net.input_dim != expected:
-        raise ConfigError(
-            f"checkpoint expects observation width {ckpt.net.input_dim}, "
-            f"config window needs {expected}"
-        )
     total, _, _ = greedy_rollout(ckpt.net, ckpt.norm, prices, config)
     return total
 
@@ -387,11 +383,6 @@ def daily_policy_trace(
     are returned. The final series hour has no action, so a day touching it
     is rejected.
     """
-    if ckpt.net.input_dim != config.window_hours + 1:
-        raise ConfigError(
-            f"checkpoint expects observation width {ckpt.net.input_dim}, "
-            f"config window needs {config.window_hours + 1}"
-        )
     first = prices.index_of(datetime.combine(day, dtime(), tzinfo=timezone.utc))
     last = first + 23
     if last > len(prices) - 2:

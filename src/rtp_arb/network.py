@@ -135,6 +135,30 @@ class ObservationNormalizer:
         out[..., -1] /= self.charge_scale
         return out
 
+    def price_windows(self, prices: np.ndarray, window_hours: int) -> np.ndarray:
+        """Read-only (M, window_hours) matrix of normalized price windows, rows
+        views into one padded array: row ``n`` is the ``recent_prices`` of an
+        observation at hour ``n`` as :meth:`apply` normalizes them, bit for bit."""
+        padded = np.concatenate([np.full(window_hours - 1, prices[0]), prices], dtype=np.float64)
+        padded -= self.price_mean
+        padded /= self.price_std
+        return np.lib.stride_tricks.sliding_window_view(padded, window_hours)
+
+
+def input_rows(
+    windows: np.ndarray, hours: np.ndarray, charges: np.ndarray, charge_scale: float
+) -> np.ndarray:
+    """Normalized network inputs (B, L+1) for B (hour index, charge) states.
+
+    Row ``k`` is ``windows[hours[k]]`` (see :meth:`ObservationNormalizer.price_windows`),
+    then ``charges[k] / charge_scale``: the bits of ``Observation.write_into`` plus
+    ``ObservationNormalizer.apply``.
+    """
+    x = np.empty((len(hours), windows.shape[1] + 1))
+    x[:, :-1] = windows[hours]
+    np.divide(charges, charge_scale, out=x[:, -1])
+    return x
+
 
 def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
     """Q-values (B, 3) for a batch of already-normalized inputs (B, L+1)."""
@@ -151,12 +175,7 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
     """Q-values (3,) for one raw observation."""
-    width = len(obs.recent_prices)
-    if width + 1 != net.input_dim:
-        raise ValueError(
-            f"observation width {width + 1} does not match network input {net.input_dim}"
-        )
-    x = np.empty((1, width + 1))
+    x = np.empty((1, len(obs.recent_prices) + 1))
     obs.write_into(x[0])
     norm.apply(x, out=x)
     return forward_batch(net, x)[0]

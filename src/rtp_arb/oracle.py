@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import Action, BatteryConfig, Observation, PriceSeries, reachable_charges, successor_table
+from .env import Action, BatteryConfig, Observation, PriceSeries, charge_grid
 
 #: Longest horizon (steps) the exhaustive enumerator will accept: 3^12 leaves.
 BRUTE_FORCE_MAX_STEPS = 12
@@ -44,8 +44,7 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     exact ties toward the lowest action code so it matches the greedy
     agent's tie-break and is reproducible.
     """
-    states = sorted(reachable_charges(config))
-    succ = successor_table(states, config)
+    states, succ = charge_grid(config)
     charges = np.array(states, dtype=np.float64)
     deltas = np.diff(prices.prices)  # p_{n+1} - p_n for each step n
     n_steps = deltas.shape[0]

@@ -25,6 +25,20 @@ def make_series(prices, start=START) -> PriceSeries:
     return PriceSeries.from_prices(start, prices)
 
 
+def random_walk(seed: int, hours: int) -> PriceSeries:
+    rng = np.random.default_rng(seed)
+    prices = 4.0 + np.cumsum(rng.normal(0.0, 0.7, hours))
+    return PriceSeries.from_prices(datetime(2020, 1, 1, tzinfo=timezone.utc), prices)
+
+
+CONFIGS = [
+    BatteryConfig(),  # 5 kW does not divide 13.5 kWh: 6 levels
+    BatteryConfig(capacity_kwh=6.0, rate_kw=1.5, window_hours=2),
+    BatteryConfig(capacity_kwh=10.0, rate_kw=3.0, window_hours=6),  # 3 does not divide 10
+    BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
+]
+
+
 @pytest.fixture
 def powerwall() -> BatteryConfig:
     return BatteryConfig()  # 13.5 kWh at 5 kW, 48-hour window

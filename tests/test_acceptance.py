@@ -22,7 +22,6 @@ from rtp_arb import (
     Hyperparams,
     ObservationNormalizer,
     ReplayBuffer,
-    Transition,
     brute_force_optimal,
     cross_test,
     default_data_dir,
@@ -42,7 +41,7 @@ from rtp_arb import (
     write_price_csv,
     year_csv_path,
 )
-from rtp_arb.env import Observation, episode_return, step, reset
+from rtp_arb.env import episode_return, step, reset
 from rtp_arb.ingest import aggregate_hourly
 
 REL_TOL = 1e-9
@@ -269,12 +268,11 @@ def test_criterion_6_invariance_suite(tmp_path):
     passed.append(("tie-break determinism", ok))
 
     # the replay ring keeps exactly the newest transitions
-    buf = ReplayBuffer(capacity=3, obs_dim=2)
+    windows = ObservationNormalizer(0.0, 1.0, 1.0).price_windows(np.array([1.0, 1.0]), 1)
+    buf = ReplayBuffer(3, windows, 1.0)
     for r in range(1, 8):
-        obs = Observation(np.array([1.0]), 0.0)
-        push_transition(buf, Transition(obs, Action.IDLE, float(r), obs, False))
-    _, _, rewards, _, _ = buf.contents()
-    ok = set(rewards) == {5.0, 6.0, 7.0} and len(buf) == 3
+        push_transition(buf, 0, 0.0, Action.IDLE, float(r), 0.0, False)
+    ok = set(buf.rewards[: len(buf)]) == {5.0, 6.0, 7.0} and len(buf) == 3
     sample_rng = np.random.default_rng(0)
     for _ in range(20):
         batch = sample_batch(buf, 3, sample_rng)

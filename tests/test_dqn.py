@@ -8,11 +8,10 @@ from rtp_arb import (
     AdamState,
     CheckpointError,
     EpsilonSchedule,
-    Observation,
+    Hyperparams,
     ObservationNormalizer,
     QNetwork,
     ReplayBuffer,
-    Transition,
     epsilon_at,
     forward_batch,
     init_network,
@@ -27,12 +26,6 @@ from rtp_arb import (
 )
 
 IDENTITY_NORM = ObservationNormalizer(price_mean=0.0, price_std=1.0, charge_scale=1.0)
-
-
-def make_transition(reward: float, done: bool = False, tag: float = 0.0) -> Transition:
-    obs = Observation(np.array([1.0, 2.0]), tag)
-    nxt = Observation(np.array([2.0, 3.0]), tag + 0.5)
-    return Transition(obs, Action.IDLE, reward, nxt, done)
 
 
 class TestEpsilonSchedule:
@@ -98,52 +91,67 @@ class TestSelectAction:
                 assert select_action(q * c, 0.0) == base
 
 
+def make_buffer(capacity: int) -> ReplayBuffer:
+    """A ring over the identity-normalized prices 1, 2, 3 with 2-hour windows:
+    hour 1 reads (1, 2), hour 2 reads (2, 3)."""
+    windows = IDENTITY_NORM.price_windows(np.array([1.0, 2.0, 3.0]), 2)
+    return ReplayBuffer(capacity, windows, IDENTITY_NORM.charge_scale)
+
+
+def push(buf: ReplayBuffer, reward: float, done: bool = False, tag: float = 0.0) -> None:
+    """Push (hour 1, charge tag) -IDLE-> (hour 2, charge tag + 0.5)."""
+    push_transition(buf, 1, tag, Action.IDLE, reward, tag + 0.5, done)
+
+
 class TestReplayBuffer:
     def test_push_to_empty(self):
-        buf = ReplayBuffer(capacity=4, obs_dim=3)
+        buf = make_buffer(capacity=4)
         assert len(buf) == 0
-        push_transition(buf, make_transition(1.0))
+        push(buf, 1.0)
         assert len(buf) == 1
 
     def test_fifo_eviction(self):
-        buf = ReplayBuffer(capacity=2, obs_dim=3)
+        buf = make_buffer(capacity=2)
         for r in (1.0, 2.0, 3.0):
-            push_transition(buf, make_transition(r))
-        _, _, rewards, _, _ = buf.contents()
-        assert set(rewards) == {2.0, 3.0}
+            push(buf, r)
+        assert set(buf.rewards[: len(buf)]) == {2.0, 3.0}
 
     def test_size_saturates_at_capacity(self):
-        buf = ReplayBuffer(capacity=100, obs_dim=3)
+        buf = make_buffer(capacity=100)
         for i in range(1000):
-            push_transition(buf, make_transition(float(i)))
+            push(buf, float(i))
         assert len(buf) == 100
-        _, _, rewards, _, _ = buf.contents()
-        assert set(rewards) == set(float(i) for i in range(900, 1000))
+        assert set(buf.rewards[: len(buf)]) == set(float(i) for i in range(900, 1000))
 
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
-            ReplayBuffer(capacity=0, obs_dim=3)
+            make_buffer(capacity=0)
+
+    def test_ring_at_default_capacity_is_small(self):
+        buf = ReplayBuffer(Hyperparams().buffer_capacity, make_buffer(1).windows, 1.0)
+        ring = [v for k, v in vars(buf).items() if isinstance(v, np.ndarray) and k != "windows"]
+        assert len(ring) == 6
+        assert sum(a.nbytes for a in ring) < 10 * 2**20
 
     def test_sample_underfull_returns_none(self):
-        buf = ReplayBuffer(capacity=8, obs_dim=3)
-        push_transition(buf, make_transition(1.0))
+        buf = make_buffer(capacity=8)
+        push(buf, 1.0)
         assert sample_batch(buf, 2, np.random.default_rng(0)) is None
 
     def test_sample_single(self):
-        buf = ReplayBuffer(capacity=8, obs_dim=3)
-        t = make_transition(7.5, done=True, tag=0.25)
-        push_transition(buf, t)
-        obs, actions, rewards, next_obs, dones = sample_batch(buf, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(obs[0], t.obs.vector())
-        np.testing.assert_array_equal(next_obs[0], t.next_obs.vector())
-        assert actions[0] == int(t.action)
+        buf = make_buffer(capacity=8)
+        push(buf, 7.5, done=True, tag=0.25)
+        x, actions, rewards, next_x, dones = sample_batch(buf, 1, np.random.default_rng(0))
+        np.testing.assert_array_equal(x[0], [1.0, 2.0, 0.25])
+        np.testing.assert_array_equal(next_x[0], [2.0, 3.0, 0.75])
+        assert actions[0] == int(Action.IDLE)
         assert rewards[0] == 7.5
         assert bool(dones[0]) is True
 
     def test_sampling_is_deterministic_per_seed(self):
-        buf = ReplayBuffer(capacity=8, obs_dim=3)
+        buf = make_buffer(capacity=8)
         for r in range(5):
-            push_transition(buf, make_transition(float(r)))
+            push(buf, float(r))
         a = sample_batch(buf, 3, np.random.default_rng(99))
         b = sample_batch(buf, 3, np.random.default_rng(99))
         for x, y in zip(a, b):
@@ -153,9 +161,9 @@ class TestReplayBuffer:
         # aggregate frequency check with a pinned seed: the chi-square
         # statistic of index counts must sit within 5 sigma of its mean
         size = 1000
-        buf = ReplayBuffer(capacity=size, obs_dim=3)
+        buf = make_buffer(capacity=size)
         for r in range(size):
-            push_transition(buf, make_transition(float(r)))
+            push(buf, float(r))
         rng = np.random.default_rng(2024)
         counts = np.zeros(size)
         draws = 10_000
@@ -178,41 +186,38 @@ class TestTdTargets:
 
     def test_terminal_masks_bootstrap(self):
         net = self.zero_net_with_q([5.0, 5.0, 5.0])
-        out = td_targets(
-            net, IDENTITY_NORM, np.array([1.0]), np.zeros((1, 3)), np.array([True]), 0.99
-        )
+        out = td_targets(net, np.array([1.0]), np.zeros((1, 3)), np.array([True]), 0.99)
         assert out[0] == 1.0
 
     def test_bootstrap_arithmetic(self):
         net = self.zero_net_with_q([2.0, 0.0, -1.0])
-        out = td_targets(
-            net, IDENTITY_NORM, np.array([0.5]), np.zeros((1, 3)), np.array([False]), 0.99
-        )
+        out = td_targets(net, np.array([0.5]), np.zeros((1, 3)), np.array([False]), 0.99)
         assert out[0] == pytest.approx(2.48, rel=1e-12)
 
     def test_myopic_gamma_zero(self):
         net = self.zero_net_with_q([100.0, 3.0, 9.0])
-        out = td_targets(
-            net, IDENTITY_NORM, np.array([0.0]), np.zeros((1, 3)), np.array([False]), 0.0
-        )
+        out = td_targets(net, np.array([0.0]), np.zeros((1, 3)), np.array([False]), 0.0)
         assert out[0] == 0.0
 
 
-def fill_buffer(buf: ReplayBuffer, n: int, seed: int = 0) -> None:
+def filled_buffer(capacity: int, n: int, seed: int = 0) -> ReplayBuffer:
+    """A ring holding ``n`` random transitions over a random 2-hour-window series."""
     rng = np.random.default_rng(seed)
-    for _ in range(n):
-        obs = Observation(rng.normal(size=2), float(rng.uniform(0, 1)))
-        nxt = Observation(rng.normal(size=2), float(rng.uniform(0, 1)))
-        t = Transition(obs, Action(int(rng.integers(3))), float(rng.normal()), nxt, False)
-        push_transition(buf, t)
+    windows = IDENTITY_NORM.price_windows(rng.normal(size=n + 1), 2)
+    buf = ReplayBuffer(capacity, windows, IDENTITY_NORM.charge_scale)
+    for hour in range(n):
+        charge, next_charge = rng.uniform(0, 1, size=2)
+        action = Action(int(rng.integers(3)))
+        push_transition(buf, hour, float(charge), action, float(rng.normal()), float(next_charge), False)
+    return buf
 
 
 class TestTrainStep:
     def test_underfull_buffer_skips(self):
         net = init_network(2, seed=0, hidden_dims=(4,))
-        buf = ReplayBuffer(capacity=64, obs_dim=3)
+        buf = filled_buffer(64, 0)
         opt = AdamState.for_network(net)
-        out = train_step(net, net.clone(), buf, opt, 32, 0.99, IDENTITY_NORM, np.random.default_rng(0))
+        out = train_step(net, net.clone(), buf, opt, 32, 0.99, np.random.default_rng(0))
         assert out is None
         assert opt.step_count == 0
 
@@ -221,12 +226,11 @@ class TestTrainStep:
         target = net.clone()
         target_before = [p.copy() for p in target.parameters()]
         online_before = [p.copy() for p in net.parameters()]
-        buf = ReplayBuffer(capacity=256, obs_dim=3)
-        fill_buffer(buf, 64)
+        buf = filled_buffer(256, 64)
         opt = AdamState.for_network(net)
         rng = np.random.default_rng(5)
         for _ in range(10):
-            loss = train_step(net, target, buf, opt, 16, 0.99, IDENTITY_NORM, rng)
+            loss = train_step(net, target, buf, opt, 16, 0.99, rng)
             assert loss is not None and np.isfinite(loss)
         for before, after in zip(target_before, target.parameters()):
             np.testing.assert_array_equal(before, after)
@@ -238,11 +242,10 @@ class TestTrainStep:
     def test_descends_on_fixed_replay(self):
         net = init_network(2, seed=3, hidden_dims=(8,))
         target = net.clone()
-        buf = ReplayBuffer(capacity=64, obs_dim=3)
-        fill_buffer(buf, 64, seed=7)
+        buf = filled_buffer(64, 64, seed=7)
         opt = AdamState.for_network(net, learning_rate=1e-3)
         rng = np.random.default_rng(11)
-        losses = [train_step(net, target, buf, opt, 32, 0.9, IDENTITY_NORM, rng) for _ in range(300)]
+        losses = [train_step(net, target, buf, opt, 32, 0.9, rng) for _ in range(300)]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
 
 

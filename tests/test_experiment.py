@@ -301,6 +301,11 @@ class TestDailyPolicy:
         with pytest.raises(ValidationError, match="2021-01-03"):
             daily_policy_trace(ckpt, series, SMALL_CONFIG, date(2021, 1, 3))
 
+    def test_window_mismatch_rejected(self):
+        ckpt = constant_policy_checkpoint(2021, Action.IDLE, SMALL_CONFIG)
+        with pytest.raises(ConfigError, match="width"):
+            daily_policy_trace(ckpt, wave_series(days=3), BatteryConfig(4.0, 2.0, 6), date(2021, 1, 2))
+
     def test_trace_validation(self):
         hours = tuple(datetime(2021, 1, 1, tzinfo=UTC) + i * timedelta(hours=1) for i in range(23))
         with pytest.raises(ValidationError, match="24"):

@@ -7,18 +7,14 @@ single-observation ``forward`` and ``select_action``); the two must agree
 exactly, return and every action and charge.
 """
 
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import continuous_configs, continuous_prices, make_series
+from conftest import CONFIGS, continuous_configs, continuous_prices, make_series, random_walk
 from rtp_arb import (
-    BatteryConfig,
     ObservationNormalizer,
-    PriceSeries,
     QNetwork,
     forward,
     greedy_rollout,
@@ -27,7 +23,7 @@ from rtp_arb import (
     select_action,
     step,
 )
-from rtp_arb.env import _observation, price_windows
+from rtp_arb.env import _observation
 from rtp_arb.experiment import GREEDY_BLOCK_HOURS
 
 
@@ -47,18 +43,6 @@ def stepwise_greedy_rollout(net, norm, prices, config):
     return total, actions, charges
 
 
-def random_walk(seed: int, hours: int) -> PriceSeries:
-    rng = np.random.default_rng(seed)
-    prices = 4.0 + np.cumsum(rng.normal(0.0, 0.7, hours))
-    return PriceSeries.from_prices(datetime(2020, 1, 1, tzinfo=timezone.utc), prices)
-
-
-CONFIGS = [
-    BatteryConfig(),  # 5 kW does not divide 13.5 kWh: 6 levels
-    BatteryConfig(capacity_kwh=6.0, rate_kw=1.5, window_hours=2),
-    BatteryConfig(capacity_kwh=10.0, rate_kw=3.0, window_hours=6),  # 3 does not divide 10
-    BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
-]
 # M = 2; shorter than most windows; within one block; one step past a block;
 # many blocks and a partial one
 LENGTHS = [2, 5, GREEDY_BLOCK_HOURS, GREEDY_BLOCK_HOURS + 2, 10 * GREEDY_BLOCK_HOURS + 17]
@@ -97,12 +81,15 @@ def test_matches_stepwise_rollout_on_arbitrary_input(config, prices, seed):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"window-{c.window_hours}")
 @pytest.mark.parametrize("hours", [2, 5, 60])
 def test_window_rows_equal_observations(config, hours):
+    # each row is the observation's window normalized as apply does it, bit for bit
     prices = random_walk(hours, hours)
-    windows = price_windows(prices, config)
+    norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
+    windows = norm.price_windows(prices.prices, config.window_hours)
     assert windows.shape == (hours, config.window_hours)
     assert not windows.flags.writeable
     for n in range(hours):
-        np.testing.assert_array_equal(windows[n], _observation(prices, config, n, 0.0).recent_prices)
+        want = norm.apply(_observation(prices, config, n, 0.0).vector())[:-1]
+        assert windows[n].tobytes() == want.tobytes()
 
 
 def test_rejects_network_without_one_output_per_action():
