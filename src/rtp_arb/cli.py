@@ -28,7 +28,7 @@ from typing import Any, Callable, get_type_hints
 
 from .dqn import load_checkpoint, save_checkpoint
 from .env import Action, BatteryConfig
-from .errors import ConfigError, RtpArbError
+from .errors import ConfigError, RtpArbError, ValidationError
 from .experiment import (
     CROSS_TEST_CSV,
     DAILY_POLICY_CSV,
@@ -313,11 +313,14 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
 def _read_manifest(path) -> list[tuple[int, Path, Path]]:
     rows = []
     base = Path(path).parent
-    for row_no, (year, ckpt, prices) in read_csv_rows(path, "year,checkpoint_path,prices_path", 3):
+    for row_no, (year_s, ckpt, prices) in read_csv_rows(path, "year,checkpoint_path,prices_path", 3):
         try:
-            rows.append((int(year), base / ckpt, base / prices))
+            year = int(year_s)
         except ValueError as exc:
-            raise ConfigError(f"{path}: row {row_no}: bad year {year!r}") from exc
+            raise ValidationError(f"{path}: row {row_no}: bad year {year_s!r}") from exc
+        if any(year == seen for seen, _, _ in rows):
+            raise ValidationError(f"{path}: row {row_no}: year {year} is listed twice")
+        rows.append((year, base / ckpt, base / prices))
     return rows
 
 

@@ -161,21 +161,15 @@ class EnvState:
 @dataclass(eq=False)
 class Observation:
     """What the agent sees each hour: the last ``window_hours`` prices
-    (oldest first) and its own charge."""
+    (oldest first) and its own charge. The readable specification of the
+    network input: the reference tests hold the batched rows to it."""
 
     recent_prices: np.ndarray
     charge_kwh: float
 
-    def write_into(self, row: np.ndarray) -> None:
-        """Write the network input layout, prices then charge, into ``row`` (L+1,)."""
-        row[:-1] = self.recent_prices
-        row[-1] = self.charge_kwh
-
     def vector(self) -> np.ndarray:
-        """A new (L+1,) float64 vector in the network input layout."""
-        row = np.empty(len(self.recent_prices) + 1)
-        self.write_into(row)
-        return row
+        """A new (L+1,) float64 vector in the network input layout: prices, then charge."""
+        return np.concatenate([self.recent_prices, [self.charge_kwh]], dtype=np.float64)
 
 
 @dataclass(eq=False)

@@ -32,15 +32,8 @@ from .dqn import (
     sync_target,
     train_step,
 )
-from .env import (
-    HOUR,
-    Action,
-    BatteryConfig,
-    PriceSeries,
-    charge_grid,
-    reset,
-    step,
-)
+# reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
+from .env import Action, BatteryConfig, PriceSeries, charge_grid, reset, step
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
@@ -132,6 +125,20 @@ class TrainingCurve:
         return best_step, best_ret
 
 
+def _grid(prices: PriceSeries, config: BatteryConfig, norm: ObservationNormalizer) -> tuple:
+    """The (hour index, charge level) grid that training and greedy evaluation walk.
+
+    Returns the reachable charge levels, their successor lists (``levels[i]``
+    under action ``a`` lands on ``levels[succ[i][a]]``), the normalized price
+    windows, the price deltas ``p[n+1] - p[n]`` (``levels[i] * deltas[n]`` is
+    the reward of :func:`rtp_arb.env.reward`, bit for bit) and the index of
+    the empty level every episode starts from.
+    """
+    levels, table = charge_grid(config)
+    windows = norm.price_windows(prices.prices, config.window_hours)
+    return levels, table.tolist(), windows, np.diff(prices.prices).tolist(), levels.index(0.0)
+
+
 def greedy_rollout(
     net: QNetwork,
     norm: ObservationNormalizer,
@@ -145,12 +152,11 @@ def greedy_rollout(
 
     The result is that of stepping the environment with
     ``select_action(forward(net, obs, norm), 0.0)``, computed without
-    stepping it: an observation is a pure function of (hour index, charge
-    level), so batched forwards fill a table of the greedy action at every
-    grid point, one block of hours at a time, and the episode is an integer
-    walk through each block of that table and the successor table. Rewards
-    accumulate in step order with the float arithmetic of
-    :func:`rtp_arb.env.reward`.
+    stepping it, on the grid :func:`train_agent` walks too: an observation
+    is a pure function of (hour index, charge level), so batched forwards
+    fill a table of the greedy action at every grid point, one block of
+    hours at a time, and the episode is an integer walk through each block
+    of that table and the successor lists. Rewards accumulate in step order.
 
     A network whose input width does not fit ``config`` (a checkpoint
     evaluated with another window) is a ConfigError.
@@ -162,16 +168,12 @@ def greedy_rollout(
         )
     if net.layer_dims[-1] != len(Action):
         raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
-    levels, table = charge_grid(config)
-    succ = table.tolist()
-    windows = norm.price_windows(prices.prices, config.window_hours)
+    levels, succ, windows, deltas, i = _grid(prices, config, norm)
     n_steps, n_levels = len(prices) - 1, len(levels)
 
     # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]).
     block_hours = np.repeat(np.arange(GREEDY_BLOCK_HOURS), n_levels)
     block_charges = np.tile(levels, GREEDY_BLOCK_HOURS)
-    deltas = np.diff(prices.prices).tolist()  # p[n+1] - p[n], rounded as in env.reward
-    i = levels.index(0.0)
     total = 0.0
     actions: list[Action] = []
     charges: list[float] = []
@@ -200,7 +202,9 @@ def train_agent(
     """Train one agent on a looped year of prices.
 
     The series is replayed episodically (battery reset to empty each pass)
-    for ``total_steps`` environment steps. Before any training and then
+    for ``total_steps`` environment steps, walking the (hour, charge level)
+    grid :func:`greedy_rollout` walks, with the rewards and Q-values that
+    stepping the environment would give. Before any training and then
     every ``eval_every`` steps, a full-year greedy evaluation is recorded;
     the returned checkpoint holds the parameters behind the highest
     evaluation. Three independent random streams (weight init, exploration,
@@ -217,7 +221,7 @@ def train_agent(
     target = net.clone()
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
-    windows = norm.price_windows(prices.prices, config.window_hours)
+    levels, succ, windows, deltas, empty = _grid(prices, config, norm)
     buffer = ReplayBuffer(hyper.buffer_capacity, windows, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
@@ -235,13 +239,15 @@ def train_agent(
         log.info("year %d step %d greedy return %.2f cents", year, at_step, ret)
 
     evaluate(0)
-    state, obs = reset(prices, config)
+    n, i = 0, empty
     for k in range(total_steps):
         eps = epsilon_at(hyper.epsilon, k, total_steps)
-        a = select_action(forward(net, obs, norm), eps, explore_rng)
-        new_state, new_obs, r, done = step(state, a, prices, config)
-        push_transition(buffer, state.step_index, state.charge_kwh, a, r, new_state.charge_kwh, done)
-        state, obs = (new_state, new_obs) if not done else reset(prices, config)
+        q = forward_batch(net, input_rows(windows, [n], [levels[i]], norm.charge_scale))[0]
+        a = select_action(q, eps, explore_rng)
+        j = succ[i][a]
+        done = n + 1 == len(prices) - 1
+        push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)
+        n, i = (n + 1, j) if not done else (0, empty)
 
         if k + 1 >= hyper.learning_starts and (k + 1) % hyper.update_every == 0:
             try:

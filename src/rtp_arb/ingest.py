@@ -73,11 +73,12 @@ class IngestReport:
 
 
 def _default_http_get(url: str) -> str:
-    import requests
+    # imported here: urllib.request loads ssl, some 7 MiB of resident memory
+    # that only a real fetch needs; a 4xx/5xx status raises HTTPError
+    import urllib.request
 
-    resp = requests.get(url, timeout=30)
-    resp.raise_for_status()
-    return resp.text
+    with urllib.request.urlopen(url, timeout=30) as resp:
+        return resp.read().decode("utf-8")
 
 
 def _parse_feed_payload(body: str) -> list[FiveMinuteSample]:

@@ -120,16 +120,9 @@ class ObservationNormalizer:
             std = 1.0
         return cls(mean, std, capacity_kwh)
 
-    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Normalize an input vector (L+1,) or batch (B, L+1).
-
-        Writes into a new array, or into ``out`` when given (``out`` may be
-        ``x`` itself, to normalize in place).
-        """
-        if out is None:
-            out = np.array(x, dtype=np.float64)
-        elif out is not x:
-            out[...] = x
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Normalize an input vector (L+1,) or batch (B, L+1) into a new array."""
+        out = np.array(x, dtype=np.float64)
         out[..., :-1] -= self.price_mean
         out[..., :-1] /= self.price_std
         out[..., -1] /= self.charge_scale
@@ -151,8 +144,8 @@ def input_rows(
     """Normalized network inputs (B, L+1) for B (hour index, charge) states.
 
     Row ``k`` is ``windows[hours[k]]`` (see :meth:`ObservationNormalizer.price_windows`),
-    then ``charges[k] / charge_scale``: the bits of ``Observation.write_into`` plus
-    ``ObservationNormalizer.apply``.
+    then ``charges[k] / charge_scale``: the bits of ``ObservationNormalizer.apply``
+    on ``Observation.vector()``.
     """
     x = np.empty((len(hours), windows.shape[1] + 1))
     x[:, :-1] = windows[hours]
@@ -174,11 +167,13 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
 
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
-    """Q-values (3,) for one raw observation."""
-    x = np.empty((1, len(obs.recent_prices) + 1))
-    obs.write_into(x[0])
-    norm.apply(x, out=x)
-    return forward_batch(net, x)[0]
+    """Q-values (3,) for one raw observation.
+
+    The readable specification of what the agent acts on; training and
+    evaluation get the same bits from :func:`forward_batch` on
+    :func:`input_rows`, and the reference tests compare the two.
+    """
+    return forward_batch(net, norm.apply(obs.vector()[None]))[0]
 
 
 def td_loss_and_grads(

@@ -18,11 +18,12 @@ from rtp_arb import (
     ObservationNormalizer,
     PriceSeries,
     QNetwork,
+    ValidationError,
     init_network,
     save_checkpoint,
     write_price_csv,
 )
-from rtp_arb.cli import _KNOBS, RunConfig, _assemble, _build_parser, run
+from rtp_arb.cli import _KNOBS, RunConfig, _assemble, _build_parser, _read_manifest, run
 from rtp_arb.dqn import CHECKPOINT_MAGIC
 
 UTC = timezone.utc
@@ -490,8 +491,25 @@ class TestManifestAndPlotErrors:
     def test_manifest_bad_year(self, tmp_path, capsys, clean_env):
         m = tmp_path / "m.csv"
         m.write_text("year,checkpoint_path,prices_path\ntwenty,a.ckpt,p.csv\n")
+        with pytest.raises(ValidationError, match="row 2: bad year"):
+            _read_manifest(m)
         assert run(["cross-test", "--manifest", str(m)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    def test_manifest_duplicate_year(self, tmp_path, capsys, clean_env):
+        # a later row for 2017 once replaced the first, so agent 2018 was
+        # cross-tested against itself under the name 2017
+        m = tmp_path / "m.csv"
+        m.write_text(
+            "year,checkpoint_path,prices_path\n"
+            "2017,a2017.ckpt,p2017.csv\n"
+            "2018,a2018.ckpt,p2018.csv\n"
+            "2017,a2018.ckpt,p2018.csv\n"
+        )
+        with pytest.raises(ValidationError, match="row 4: year 2017 is listed twice"):
+            _read_manifest(m)
+        assert run(["cross-test", "--manifest", str(m)]) == 1
+        assert "row 4: year 2017" in capsys.readouterr().err
 
     def test_plot_missing_dir(self, tmp_path, capsys, clean_env):
         assert run(["plot", "--in", str(tmp_path / "nope")]) == 1

@@ -190,13 +190,6 @@ class TestReset:
         _, obs = reset(s, BatteryConfig(window_hours=2), initial_charge=1.0)
         np.testing.assert_array_equal(obs.vector(), [2.0, 2.0, 1.0])
 
-    def test_observation_writes_its_layout_into_a_row(self):
-        s = make_series([2.0, 3.0])
-        _, obs = reset(s, BatteryConfig(window_hours=2), initial_charge=1.0)
-        rows = np.zeros((2, 3))
-        obs.write_into(rows[1])
-        np.testing.assert_array_equal(rows, [[0.0, 0.0, 0.0], [2.0, 2.0, 1.0]])
-
 
 class TestStep:
     def test_worked_episode(self):

@@ -1,7 +1,10 @@
 """Feed parsing, chunked fetch with retry, hourly aggregation, CSV cache."""
 
 import json
+import sys
+import threading
 from datetime import datetime, timedelta, timezone
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ from rtp_arb import (
     write_price_csv,
     year_csv_path,
 )
-from rtp_arb.ingest import _day_chunks, _feed_url
+from rtp_arb.ingest import FEED_TIMEZONE, _day_chunks, _feed_url
 
 FIXTURES = Path(__file__).parent / "fixtures"
 UTC = timezone.utc
@@ -176,6 +179,71 @@ class TestFetchRange:
                 T0, T0 + timedelta(hours=1), http_get=bad_body, sleep=no_sleep
             )
         assert calls["n"] == 1
+
+
+class FeedHandler(BaseHTTPRequestHandler):
+    """Answers every GET with the server's ``status`` and ``body``, and logs the URL."""
+
+    def do_GET(self):
+        self.server.urls.append(self.server.origin + self.path)
+        body = self.server.body.encode("utf-8")
+        self.send_response(self.server.status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def feed_server(monkeypatch):
+    """An in-process HTTP server on the loopback interface.
+
+    ``requests`` is made unimportable, so the fetch must run on the standard library.
+    """
+    monkeypatch.setitem(sys.modules, "requests", None)
+    server = HTTPServer(("127.0.0.1", 0), FeedHandler)
+    server.origin = f"http://127.0.0.1:{server.server_port}"
+    server.urls, server.status, server.body = [], 200, "[]"
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestDefaultTransport:
+    # one feed-zone day, so one request
+    DAY = datetime(2018, 6, 1, tzinfo=FEED_TIMEZONE).astimezone(UTC)
+
+    def test_fetches_one_day(self, feed_server):
+        endpoint = feed_server.origin + "/api"
+        prices = [round(0.1 * i, 1) for i in range(288)]
+        feed_server.body = wire(five_minute_grid(self.DAY, prices))
+        end = self.DAY + timedelta(days=1)
+        samples = fetch_five_minute_feed(self.DAY, end, endpoint=endpoint, sleep=no_sleep)
+        assert [s.price_cents_per_kwh for s in samples] == prices
+        assert samples[0].timestamp_utc == self.DAY
+        assert feed_server.urls == [_feed_url(endpoint, self.DAY, end)]
+
+    def test_server_error_is_retried_then_raised(self, feed_server):
+        feed_server.status = 500
+        slept: list[float] = []
+        with pytest.raises(TransportError, match="3 attempts.*500"):
+            fetch_five_minute_feed(
+                self.DAY,
+                self.DAY + timedelta(days=1),
+                endpoint=feed_server.origin + "/api",
+                sleep=slept.append,
+            )
+        assert len(feed_server.urls) == 3
+        assert slept == [1.0, 2.0]
 
 
 class TestAggregateHourly:

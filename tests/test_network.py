@@ -145,16 +145,6 @@ class TestNormalizer:
         norm.apply(x)
         np.testing.assert_array_equal(x, [3.0, 0.5])
 
-    def test_apply_into_out_matches_copy(self):
-        norm = ObservationNormalizer(price_mean=1.3, price_std=0.7, charge_scale=13.5)
-        x = np.random.default_rng(5).normal(size=(4, 6))
-        want = norm.apply(x)
-        out = np.empty_like(x)
-        assert norm.apply(x, out=out) is out
-        assert out.tobytes() == want.tobytes()
-        assert norm.apply(x, out=x) is x
-        assert x.tobytes() == want.tobytes()
-
 
 class TestLossAndGradients:
     def test_huber_loss_values(self):
