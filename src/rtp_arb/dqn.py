@@ -11,6 +11,7 @@ moments, input normalizer, run metadata).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Any
@@ -27,7 +28,6 @@ from .network import (
     QNetwork,
     adam_update,
     forward_batch,
-    input_rows,
     td_loss_and_grads,
 )
 
@@ -74,13 +74,10 @@ def epsilon_at(schedule: EpsilonSchedule, step: int, total_steps: int) -> float:
     return schedule.start + frac * (schedule.end - schedule.start)
 
 
-def select_action(
-    q: np.ndarray, epsilon: float, rng: np.random.Generator | None = None
-) -> Action:
-    """Epsilon-greedy choice over 3 Q-values.
-
-    Greedy ties break toward the lowest action code, so evaluation is
-    deterministic. ``rng`` may be omitted when epsilon is 0.
+def explore(epsilon: float, rng: np.random.Generator | None = None) -> Action | None:
+    """Epsilon-greedy's exploration coin: a uniformly random action with
+    probability ``epsilon``, else None (act greedily). Draws nothing when
+    epsilon is 0, so ``rng`` may then be omitted.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
@@ -89,7 +86,19 @@ def select_action(
             raise ValueError("epsilon > 0 requires an rng")
         if rng.random() < epsilon:
             return Action(int(rng.integers(ACTION_COUNT)))
-    return Action(int(np.argmax(q)))
+    return None
+
+
+def select_action(
+    q: np.ndarray, epsilon: float, rng: np.random.Generator | None = None
+) -> Action:
+    """Epsilon-greedy choice over 3 Q-values: :func:`explore`, else greedy.
+
+    Greedy ties break toward the lowest action code, so evaluation is
+    deterministic. ``rng`` may be omitted when epsilon is 0.
+    """
+    a = explore(epsilon, rng)
+    return Action(int(np.argmax(q))) if a is None else a
 
 
 class ReplayBuffer:
@@ -98,8 +107,12 @@ class ReplayBuffer:
     An entry is a state (hour index, charge), the action, the reward, the
     charge after the action and the episode-end flag; the next state is
     (hour + 1, charge after). Sampling rebuilds network inputs from
-    ``windows`` (:meth:`ObservationNormalizer.price_windows` of the series)
-    and ``charge_scale``. Once full, new entries overwrite the oldest.
+    ``windows`` and ``charge_scale``. ``windows`` is the pair-window matrix
+    :meth:`ObservationNormalizer.price_windows` ``(prices, L + 1)`` of the
+    series, for an L-hour observation window: its row ``n + 1`` is hour
+    ``n``'s window followed by the newest price of hour ``n + 1``'s, so one
+    row holds the windows of a state and of its successor. Once full, new
+    entries overwrite the oldest.
     """
 
     def __init__(self, capacity: int, windows: np.ndarray, charge_scale: float):
@@ -151,23 +164,27 @@ def sample_batch(
     if len(buffer) < batch_size:
         return None
     idx = rng.integers(len(buffer), size=batch_size)
-    hours = buffer.hours[idx]
-    return (
-        input_rows(buffer.windows, hours, buffer.charges[idx], buffer.charge_scale),
-        buffer.actions[idx],
-        buffer.rewards[idx],
-        input_rows(buffer.windows, hours + 1, buffer.next_charges[idx], buffer.charge_scale),
-        buffer.dones[idx],
-    )
+    # one gather: a row holds the state's window, then the successor's newest price
+    x = buffer.windows[buffer.hours[idx] + 1]
+    next_x = np.empty_like(x)
+    next_x[:, :-1] = x[:, 1:]
+    np.divide(buffer.charges[idx], buffer.charge_scale, out=x[:, -1])
+    np.divide(buffer.next_charges[idx], buffer.charge_scale, out=next_x[:, -1])
+    return x, buffer.actions[idx], buffer.rewards[idx], next_x, buffer.dones[idx]
 
 
 def td_targets(
     target_net: QNetwork, rewards: np.ndarray, next_x: np.ndarray, dones: np.ndarray, gamma: float
 ) -> np.ndarray:
     """Bootstrap targets r + gamma * max_a Q_target(s', a) for normalized next
-    inputs ``next_x``, truncated at episode end."""
-    q_next = forward_batch(target_net, next_x)
-    return rewards + gamma * q_next.max(axis=1) * ~np.asarray(dones, dtype=bool)
+    inputs ``next_x``, truncated where the bool array ``dones`` is set."""
+    bootstrap = np.maximum.reduce(forward_batch(target_net, next_x), axis=1)
+    bootstrap *= gamma
+    # multiplied, not set to 0: a negative max times 0.0 is -0.0, and a
+    # -0.0 reward plus -0.0 stays -0.0, as in r + gamma * max * (not done)
+    bootstrap *= ~dones
+    bootstrap += rewards
+    return bootstrap
 
 
 def train_step(
@@ -191,7 +208,7 @@ def train_step(
     x, actions, rewards, next_x, dones = batch
     targets = td_targets(target_net, rewards, next_x, dones, gamma)
     loss, grads = td_loss_and_grads(net, x, actions, targets)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise TrainingDivergedError(
             f"non-finite loss {loss!r} at optimizer step {opt.step_count + 1}"
         )
@@ -282,7 +299,8 @@ def load_checkpoint(path) -> Checkpoint:
             float(norm_f["charge_scale"]),
         )
         metadata = dict(header["metadata"])
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # ValueError includes the decode errors; OverflowError is int(inf) or float(10**400)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint {path} has a corrupt header: {exc}") from exc
     off += header_len
     if len(dims) < 2 or min(dims) < 1 or dims[-1] != ACTION_COUNT:
@@ -298,7 +316,7 @@ def load_checkpoint(path) -> Checkpoint:
 
     def take(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal off
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: np.prod would wrap on huge dims
         end = off + 8 * count
         if end > len(blob):
             raise CheckpointError(f"checkpoint {path} parameter block is truncated")
@@ -324,6 +342,6 @@ def load_checkpoint(path) -> Checkpoint:
             first_moment=first,
             second_moment=second,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint {path} optimizer header is corrupt: {exc}") from exc
     return Checkpoint(net, opt, norm, metadata)

@@ -33,7 +33,7 @@ class ParseError(RtpArbError):
     """A feed payload could not be decoded into samples."""
 
 
-class InsufficientDataError(RtpArbError):
+class InsufficientDataError(ValidationError):
     """Fewer valid hours than the minimum a price series requires."""
 
 

@@ -27,6 +27,7 @@ from .dqn import (
     EpsilonSchedule,
     ReplayBuffer,
     epsilon_at,
+    explore,
     push_transition,
     select_action,
     sync_target,
@@ -222,7 +223,8 @@ def train_agent(
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     levels, succ, windows, deltas, empty = _grid(prices, config, norm)
-    buffer = ReplayBuffer(hyper.buffer_capacity, windows, norm.charge_scale)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
+    buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
 
@@ -239,13 +241,21 @@ def train_agent(
         log.info("year %d step %d greedy return %.2f cents", year, at_step, ret)
 
     evaluate(0)
+    # the input row of the current state, as input_rows builds it: kept 2-D,
+    # since a 1-D input could take another BLAS kernel and round differently
+    row = np.empty((1, config.window_hours + 1))
+    last_hour = len(prices) - 1
     n, i = 0, empty
     for k in range(total_steps):
-        eps = epsilon_at(hyper.epsilon, k, total_steps)
-        q = forward_batch(net, input_rows(windows, [n], [levels[i]], norm.charge_scale))[0]
-        a = select_action(q, eps, explore_rng)
+        # the same draws as select_action(q, eps, explore_rng), with no
+        # forward when the coin explores
+        a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
+        if a is None:
+            row[0, :-1] = windows[n]
+            row[0, -1] = levels[i] / norm.charge_scale
+            a = select_action(forward_batch(net, row)[0], 0.0)
         j = succ[i][a]
-        done = n + 1 == len(prices) - 1
+        done = n + 1 == last_hour
         push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)
         n, i = (n + 1, j) if not done else (0, empty)
 

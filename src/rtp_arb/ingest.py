@@ -257,7 +257,10 @@ def read_csv_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, list[
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"file does not exist: {p}")
-    lines = p.read_text(encoding="utf-8").split("\n")
+    try:
+        lines = p.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text: {exc}") from exc
     if lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != header:

@@ -145,7 +145,8 @@ def input_rows(
 
     Row ``k`` is ``windows[hours[k]]`` (see :meth:`ObservationNormalizer.price_windows`),
     then ``charges[k] / charge_scale``: the bits of ``ObservationNormalizer.apply``
-    on ``Observation.vector()``.
+    on ``Observation.vector()``. The learner's ``sample_batch`` and the act
+    path of ``train_agent`` write the same layout in place.
     """
     x = np.empty((len(hours), windows.shape[1] + 1))
     x[:, :-1] = windows[hours]
@@ -160,9 +161,10 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
     h = x
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if k != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -194,34 +196,41 @@ def td_loss_and_grads(
     if batch == 0:
         raise ValueError("empty batch")
 
-    # Forward, caching pre-activations for the backward sweep.
-    pre: list[np.ndarray] = []
+    # Forward, keeping each layer's input for the backward sweep. A hidden
+    # unit passes gradient where its output is positive, which is where its
+    # pre-activation was (NaN included), so no pre-activation is kept.
     act: list[np.ndarray] = [x]
     h = x
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if k != last else z
+        h = h @ w
+        h += b
+        if k != last:
+            np.maximum(h, 0.0, out=h)
         act.append(h)
 
     q = act[-1]
     rows = np.arange(batch)
     err = q[rows, action_idx] - targets
     abs_err = np.abs(err)
-    loss = float(np.mean(np.where(abs_err <= 1.0, 0.5 * err * err, abs_err - 0.5)))
+    # np.add.reduce(...) / batch is np.mean's arithmetic, without its dispatch
+    loss = float(np.add.reduce(np.where(abs_err <= 1.0, 0.5 * err * err, abs_err - 0.5)) / batch)
 
     # d loss / d q_taken, spread onto the taken-action outputs only.
+    clipped = np.maximum(err, -1.0, out=err)
+    np.minimum(clipped, 1.0, out=clipped)
+    clipped /= batch
     dq = np.zeros_like(q)
-    dq[rows, action_idx] = np.clip(err, -1.0, 1.0) / batch
+    dq[rows, action_idx] = clipped
 
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.weights))
     delta = dq
     for k in range(last, -1, -1):
         grads[2 * k] = act[k].T @ delta
-        grads[2 * k + 1] = delta.sum(axis=0)
+        grads[2 * k + 1] = np.add.reduce(delta, axis=0)
         if k > 0:
-            delta = (delta @ net.weights[k].T) * (pre[k - 1] > 0.0)
+            delta = delta @ net.weights[k].T
+            delta *= act[k] > 0.0
     return loss, grads
 
 

@@ -93,8 +93,8 @@ class TestSelectAction:
 
 def make_buffer(capacity: int) -> ReplayBuffer:
     """A ring over the identity-normalized prices 1, 2, 3 with 2-hour windows:
-    hour 1 reads (1, 2), hour 2 reads (2, 3)."""
-    windows = IDENTITY_NORM.price_windows(np.array([1.0, 2.0, 3.0]), 2)
+    hour 1 reads (1, 2), hour 2 reads (2, 3). The ring holds 3-hour pair windows."""
+    windows = IDENTITY_NORM.price_windows(np.array([1.0, 2.0, 3.0]), 3)
     return ReplayBuffer(capacity, windows, IDENTITY_NORM.charge_scale)
 
 
@@ -203,7 +203,7 @@ class TestTdTargets:
 def filled_buffer(capacity: int, n: int, seed: int = 0) -> ReplayBuffer:
     """A ring holding ``n`` random transitions over a random 2-hour-window series."""
     rng = np.random.default_rng(seed)
-    windows = IDENTITY_NORM.price_windows(rng.normal(size=n + 1), 2)
+    windows = IDENTITY_NORM.price_windows(rng.normal(size=n + 1), 3)
     buf = ReplayBuffer(capacity, windows, IDENTITY_NORM.charge_scale)
     for hour in range(n):
         charge, next_charge = rng.uniform(0, 1, size=2)

@@ -41,7 +41,7 @@ def run_episodes(prices, config, norm, seed):
     Returns the ring and the transitions as the environment produced them.
     """
     buf = ReplayBuffer(
-        CAPACITY, norm.price_windows(prices.prices, config.window_hours), norm.charge_scale
+        CAPACITY, norm.price_windows(prices.prices, config.window_hours + 1), norm.charge_scale
     )
     rng = np.random.default_rng(seed)
     transitions = []

@@ -8,6 +8,8 @@ what the environment returns); the two must agree exactly: curve, every
 parameter bit and every ring entry.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ from rtp_arb import (
     sync_target,
     train_step,
 )
-from rtp_arb import experiment
+from rtp_arb import experiment, network
 
 RING_FIELDS = ("hours", "charges", "actions", "rewards", "next_charges", "dones")
 
@@ -58,8 +60,8 @@ def stepwise_train(prices, config, hyper, total_steps, eval_every, seed):
     target = net.clone()
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
-    windows = norm.price_windows(prices.prices, config.window_hours)
-    buffer = ReplayBuffer(hyper.buffer_capacity, windows, norm.charge_scale)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
+    buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
 
@@ -133,3 +135,48 @@ def test_training_builds_no_environment_state(monkeypatch):
     curve, ckpt = experiment.train_agent(random_walk(0, 30), config, HYPER, 120, 60, seed=0)
     assert curve.steps == (0, 60, 120)
     assert ckpt.opt.step_count > 0
+
+
+def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
+    """With epsilon 0 throughout, every step is greedy: the grid walk matches
+    the stepwise loop, feeds the network the same one-row inputs, and leaves
+    the exploration stream untouched."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recorded_rng(seed=None):
+        made.append((seed, default_rng(seed)))
+        return made[-1][1]
+
+    def recording(forward_batch, rows):
+        def recorded(net, x):
+            if len(x) == 1:  # the act path; greedy evaluation passes whole blocks
+                rows.append(x.tobytes())
+            return forward_batch(net, x)
+
+        return recorded
+
+    got_rows, want_rows = [], []
+    monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+    monkeypatch.setattr(experiment, "forward_batch", recording(experiment.forward_batch, got_rows))
+    monkeypatch.setattr(network, "forward_batch", recording(network.forward_batch, want_rows))
+    hyper = replace(HYPER, epsilon=EpsilonSchedule(start=0.0, end=0.0))
+    prices, config, seed = random_walk(3, 40), CONFIGS[2], 3
+    got_points, got_net, got_ring = captured_train(
+        monkeypatch, prices, config, hyper, TOTAL_STEPS, EVAL_EVERY, seed
+    )
+    # init, exploration, sampling, in the order train_agent spawns them
+    explore_ss = np.random.SeedSequence(seed).spawn(3)[1]
+    explore_rngs = [rng for s, rng in made if getattr(s, "spawn_key", None) == explore_ss.spawn_key]
+    assert len(explore_rngs) == 1
+    assert explore_rngs[0].bit_generator.state == default_rng(explore_ss).bit_generator.state
+
+    want_points, want_net, want_ring = stepwise_train(
+        prices, config, hyper, TOTAL_STEPS, EVAL_EVERY, seed
+    )
+    assert len(got_rows) == len(want_rows) == TOTAL_STEPS
+    assert got_rows == want_rows
+    assert got_points == want_points
+    assert got_net.flat.tobytes() == want_net.flat.tobytes()
+    for name in RING_FIELDS:
+        assert getattr(got_ring, name).tobytes() == getattr(want_ring, name).tobytes(), name
