@@ -29,11 +29,11 @@ from typing import Any, Callable, get_type_hints
 from .dqn import load_checkpoint, save_checkpoint
 from .env import Action, BatteryConfig
 from .errors import ConfigError, RtpArbError, ValidationError
+# write_cross_test_csv goes unused: benchmarks/tracing.py patches it by name (ROADMAP item 1)
 from .experiment import (
-    CROSS_TEST_CSV,
-    DAILY_POLICY_CSV,
     DEFAULT_EVAL_EVERY,
     DEFAULT_TOTAL_STEPS,
+    RESULTS,
     TRAINING_CURVES_CSV,
     Hyperparams,
     checkpoint_config,
@@ -41,15 +41,9 @@ from .experiment import (
     daily_policy_trace,
     emit_outputs,
     evaluate_greedy,
-    read_cross_test_csv,
-    read_daily_policy_csv,
     read_training_curves_csv,
-    render_cross_test_svg,
-    render_daily_policy_svg,
-    render_training_curves_svg,
     train_agent,
     write_cross_test_csv,
-    write_daily_policy_csv,
 )
 from .ingest import (
     DEFAULT_ENDPOINT,
@@ -302,10 +296,7 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"--day must be YYYY-MM-DD, got {args.day!r}") from exc
         trace = daily_policy_trace(ckpt, series, config, day)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = cfg.out_dir / DAILY_POLICY_CSV
-        write_daily_policy_csv(trace, csv_path)
-        svg_path = render_daily_policy_svg(trace, cfg.out_dir / "daily_policy.svg")
+        csv_path, svg_path = emit_outputs(None, None, cfg.out_dir, trace)
         print(f"daily dispatch: {csv_path} and {svg_path}")
     return 0
 
@@ -332,11 +323,7 @@ def _cmd_cross_test(cfg: RunConfig, args: argparse.Namespace) -> int:
         checkpoints[year] = load_checkpoint(ckpt_path)
         series[year] = read_price_csv(prices_path)
     matrix = cross_test(checkpoints, series)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = cfg.out_dir / CROSS_TEST_CSV
-    write_cross_test_csv(matrix, csv_path)
-    svg_path = render_cross_test_svg(matrix, cfg.out_dir / "cross_test.svg")
+    csv_path, svg_path = emit_outputs(None, matrix, cfg.out_dir)
     means = matrix.off_diagonal_means()
 
     head = "agent\\test" + "".join(f"{y:>12}" for y in matrix.years)
@@ -374,26 +361,14 @@ def _cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> int:
     d = Path(args.in_dir)
     if not d.is_dir():
         raise ConfigError(f"--in directory does not exist: {d}")
-    made = []
-
-    curves_csv = d / TRAINING_CURVES_CSV
-    if curves_csv.exists():
-        curves = read_training_curves_csv(curves_csv)
-        made.append(render_training_curves_svg(curves, d / "training_curves.svg"))
-
-    ct_csv = d / CROSS_TEST_CSV
-    if ct_csv.exists():
-        made.append(render_cross_test_svg(read_cross_test_csv(ct_csv), d / "cross_test.svg"))
-
-    dp_csv = d / DAILY_POLICY_CSV
-    if dp_csv.exists():
-        made.append(render_daily_policy_svg(read_daily_policy_csv(dp_csv), d / "daily_policy.svg"))
-
+    made = [
+        render(read(d / name), (d / name).with_suffix(".svg"))
+        for name, _, read, render in RESULTS
+        if (d / name).exists()
+    ]
     if not made:
-        raise ConfigError(
-            f"no result CSVs found in {d} (looked for {TRAINING_CURVES_CSV}, "
-            f"{CROSS_TEST_CSV}, {DAILY_POLICY_CSV})"
-        )
+        names = ", ".join(name for name, *_ in RESULTS)
+        raise ConfigError(f"no result CSVs found in {d} (looked for {names})")
     for path in made:
         print(f"wrote {path}")
     return 0

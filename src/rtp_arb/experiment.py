@@ -49,9 +49,8 @@ from .ingest import TIMESTAMP_FORMAT, parse_timestamp, read_csv_rows
 
 log = logging.getLogger(__name__)
 
+#: ``train`` merges each new curve into this file of its output directory
 TRAINING_CURVES_CSV = "training_curves.csv"
-CROSS_TEST_CSV = "cross_test.csv"
-DAILY_POLICY_CSV = "daily_policy.csv"
 
 TRAINING_CURVES_HEADER = "year,step,greedy_return_cents"
 CROSS_TEST_HEADER = "agent_year,test_year,raw_return_cents,normalized"
@@ -415,6 +414,17 @@ def daily_policy_trace(
     )
 
 
+def _finite(path, row_no: int, text: str) -> float:
+    """A number field of a result CSV row; the writers write only finite ones."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: row {row_no}: bad number {text!r}")
+    return value
+
+
 def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
     lines = [TRAINING_CURVES_HEADER]
     for curve in curves:
@@ -428,9 +438,12 @@ def read_training_curves_csv(path) -> list[TrainingCurve]:
     by_year: dict[int, list[tuple[int, float]]] = {}
     for row_no, (year_s, step_s, ret_s) in rows:
         try:
-            by_year.setdefault(int(year_s), []).append((int(step_s), float(ret_s)))
+            year, step = int(year_s), int(step_s)
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
+        by_year.setdefault(year, []).append((step, _finite(path, row_no, ret_s)))
+    if not by_year:
+        raise ValidationError(f"{path}: row 2: expected a curve point, got none")
     return [TrainingCurve(year, tuple(pts)) for year, pts in sorted(by_year.items())]
 
 
@@ -451,12 +464,16 @@ def read_cross_test_csv(path) -> CrossTestMatrix:
     for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
         try:
             key = (int(agent_s), int(test_s))
-            raw_map[key] = float(raw_s)
-            norm_map[key] = float(norm_s) if norm_s else float("nan")
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
+        if key in raw_map:
+            raise ValidationError(f"{path}: row {row_no}: agent {key[0]} on {key[1]} is listed twice")
+        raw_map[key] = _finite(path, row_no, raw_s)
+        # an empty cell is a suppressed column, the only non-finite value written
+        norm_map[key] = _finite(path, row_no, norm_s) if norm_s else float("nan")
+    if not raw_map:
+        raise ValidationError(f"{path}: row 2: expected an (agent, test) return, got none")
     years = tuple(sorted({a for a, _ in raw_map}))
-    n = len(years)
     if set(raw_map) != {(a, t) for a in years for t in years}:
         raise ValidationError(f"{path}: cross-test grid is not complete over {years}")
     raw = np.array([[raw_map[(a, t)] for t in years] for a in years])
@@ -489,46 +506,9 @@ def read_daily_policy_csv(path) -> DailyPolicyTrace:
             actions.append(Action[action_s.upper()])
         except KeyError as exc:
             raise ValidationError(f"{path}: row {row_no}: unknown action {action_s!r}") from exc
-        try:
-            prices.append(float(price_s))
-            charges.append(float(charge_s))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
+        prices.append(_finite(path, row_no, price_s))
+        charges.append(_finite(path, row_no, charge_s))
     return DailyPolicyTrace(tuple(hours), tuple(prices), tuple(actions), tuple(charges))
-
-
-def emit_outputs(
-    curves: Sequence[TrainingCurve],
-    matrix: CrossTestMatrix | None,
-    out_dir,
-    daily: DailyPolicyTrace | None = None,
-) -> list[Path]:
-    """Write every available result as CSV plus an SVG rendering.
-
-    Always emits the training curves; the cross-test matrix and the daily
-    dispatch trace are optional. Returns the written paths.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    curves_csv = out / TRAINING_CURVES_CSV
-    write_training_curves_csv(curves, curves_csv)
-    written.append(curves_csv)
-    written.append(render_training_curves_svg(curves, out / "training_curves.svg"))
-
-    if matrix is not None:
-        ct_csv = out / CROSS_TEST_CSV
-        write_cross_test_csv(matrix, ct_csv)
-        written.append(ct_csv)
-        written.append(render_cross_test_svg(matrix, out / "cross_test.svg"))
-
-    if daily is not None:
-        dp_csv = out / DAILY_POLICY_CSV
-        write_daily_policy_csv(daily, dp_csv)
-        written.append(dp_csv)
-        written.append(render_daily_policy_svg(daily, out / "daily_policy.svg"))
-    return written
 
 
 def render_daily_policy_svg(trace: DailyPolicyTrace, path) -> Path:
@@ -572,3 +552,34 @@ def render_cross_test_svg(matrix: CrossTestMatrix, path) -> Path:
         path,
     )
     return Path(path)
+
+
+#: The results, in :func:`emit_outputs` argument order, as (CSV name, writer,
+#: reader, SVG renderer). Each chart goes beside its CSV under the same stem.
+RESULTS = (
+    (TRAINING_CURVES_CSV, write_training_curves_csv, read_training_curves_csv, render_training_curves_svg),
+    ("cross_test.csv", write_cross_test_csv, read_cross_test_csv, render_cross_test_svg),
+    ("daily_policy.csv", write_daily_policy_csv, read_daily_policy_csv, render_daily_policy_svg),
+)
+
+
+def emit_outputs(
+    curves: Sequence[TrainingCurve] | None,
+    matrix: CrossTestMatrix | None,
+    out_dir,
+    daily: DailyPolicyTrace | None = None,
+) -> list[Path]:
+    """Write each result that is not None as its CSV plus the SVG beside it.
+
+    Returns the written paths, each CSV followed by its chart, in
+    :data:`RESULTS` order.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    for (name, write, _, render), result in zip(RESULTS, (curves, matrix, daily)):
+        if result is not None:
+            csv = out / name
+            write(result, csv)
+            written += [csv, render(result, csv.with_suffix(".svg"))]
+    return written

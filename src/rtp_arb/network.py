@@ -110,6 +110,16 @@ class ObservationNormalizer:
     price_std: float
     charge_scale: float
 
+    def __post_init__(self) -> None:
+        # a zero, negative or non-finite divisor turns every input into inf/NaN
+        # or flips its sign; load_checkpoint maps this to a CheckpointError
+        if not math.isfinite(self.price_mean):
+            raise ValueError(f"price_mean must be finite, got {self.price_mean}")
+        for name in ("price_std", "charge_scale"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+
     @classmethod
     def from_series(cls, prices_cents: np.ndarray, capacity_kwh: float) -> "ObservationNormalizer":
         mean = float(np.mean(prices_cents))

@@ -452,10 +452,17 @@ class TestWorkflow:
         ct = (out_dir / "cross_test.csv").read_text().rstrip("\n").split("\n")
         assert len(ct) == 1 + 4
 
+        # plot re-renders each chart from its CSV alone, byte for byte
+        names = ("training_curves.svg", "cross_test.svg", "daily_policy.svg")
+        svgs = {name: (out_dir / name).read_bytes() for name in names}
+        for name in names:
+            (out_dir / name).unlink()
         code = run(["plot", "--in", str(out_dir)])
         assert code == 0
         out = capsys.readouterr().out
-        assert out.count("wrote") == 3
+        assert out == "".join(f"wrote {out_dir / name}\n" for name in svgs)
+        for name, before in svgs.items():
+            assert (out_dir / name).read_bytes() == before, name
 
     def test_eval_rejects_bad_day(self, tmp_path, capsys, clean_env):
         out_dir = tmp_path / "out"
@@ -520,6 +527,22 @@ class TestManifestAndPlotErrors:
         d.mkdir()
         assert run(["plot", "--in", str(d)]) == 1
         assert "no result CSVs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            # header only: once a traceback from charts (nothing to plot)
+            pytest.param("training_curves.csv", "year,step,greedy_return_cents\n", id="curves-header-only"),
+            pytest.param("cross_test.csv", "agent_year,test_year,raw_return_cents,normalized\n", id="cross-header-only"),
+            # once drawn as points="70.0,nan 610.0,nan" with exit 0
+            pytest.param("training_curves.csv", "year,step,greedy_return_cents\n2017,0,nan\n", id="curves-nan"),
+        ],
+    )
+    def test_plot_rejects_rows_no_writer_writes(self, tmp_path, capsys, clean_env, name, text):
+        (tmp_path / name).write_text(text)
+        assert run(["plot", "--in", str(tmp_path)]) == 1
+        assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / name).with_suffix(".svg").exists()
 
 
 class TestMalformedCheckpoints:

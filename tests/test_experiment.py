@@ -315,6 +315,23 @@ class TestDailyPolicy:
             DailyPolicyTrace(hours, (1.0,) * 24, (Action.IDLE,) * 23, (0.0,) * 24)
 
 
+CURVES_HEAD = "year,step,greedy_return_cents"
+CROSS_HEAD = "agent_year,test_year,raw_return_cents,normalized"
+GRID = [CROSS_HEAD, "2016,2016,10.0,1.0", "2016,2017,5.0,0.5", "2017,2016,8.0,0.8", "2017,2017,10.0,1.0"]
+DAY = ["hour_start_utc,price_cents_per_kwh,action,charge_kwh_after"] + [
+    f"2021-01-01T{i:02d}:00:00Z,2.0,idle,0.0" for i in range(24)
+]
+
+
+def csv_text(*rows: str) -> str:
+    return "".join(row + "\n" for row in rows)
+
+
+def with_row(rows: list[str], row_no: int, text: str) -> list[str]:
+    """``rows`` with 1-based CSV row ``row_no`` (row 1 is the header) replaced by ``text``."""
+    return rows[: row_no - 1] + [text] + rows[row_no:]
+
+
 class TestCsvRoundTrips:
     def test_training_curves(self, tmp_path):
         curves = [
@@ -347,6 +364,32 @@ class TestCsvRoundTrips:
         assert loaded.suppressed_years == (2017,)
         np.testing.assert_array_equal(loaded.raw, matrix.raw)
         np.testing.assert_array_equal(loaded.normalized, matrix.normalized)
+
+    @pytest.mark.parametrize(
+        "reader, text, cited",
+        [
+            # header only: charts has nothing to draw
+            pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD), "row 2", id="curves-header-only"),
+            pytest.param(read_cross_test_csv, csv_text(CROSS_HEAD), "row 2", id="cross-header-only"),
+            # non-finite numbers: the writers write none, and an empty
+            # normalized cell is the only way to say "suppressed"
+            pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2017,0,nan"), "row 2", id="curves-nan"),
+            pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2017,0,1.0", "2017,10,-inf"), "row 3", id="curves-minus-inf"),
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 3, "2016,2017,nan,0.5")), "row 3", id="cross-raw-nan"),
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 4, "2017,2016,inf,0.8")), "row 4", id="cross-raw-inf"),
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 5, "2017,2017,10.0,nan")), "row 5", id="cross-normalized-nan"),
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 2, "2016,2016,10.0,-inf")), "row 2", id="cross-normalized-minus-inf"),
+            # a repeated cell once silently replaced the first
+            pytest.param(read_cross_test_csv, csv_text(*GRID, "2016,2017,6.0,0.6"), "row 6: agent 2016 on 2017", id="cross-repeated-cell"),
+            pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 7, "2021-01-01T05:00:00Z,nan,idle,0.0")), "row 7", id="daily-price-nan"),
+            pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 9, "2021-01-01T07:00:00Z,2.0,idle,inf")), "row 9", id="daily-charge-inf"),
+        ],
+    )
+    def test_rows_no_writer_writes_are_rejected(self, tmp_path, reader, text, cited):
+        path = tmp_path / "result.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=cited):
+            reader(path)
 
     def test_cross_test_incomplete_grid_rejected(self, tmp_path):
         path = tmp_path / "ct.csv"
@@ -411,6 +454,14 @@ class TestEmitOutputs:
             "daily_policy.svg",
         ]
         assert all(p.exists() for p in written)
+
+    def test_results_passed_as_none_are_skipped(self, tmp_path):
+        _, matrix, daily = self.make_everything()
+        ct, dp = tmp_path / "ct", tmp_path / "dp"
+        assert emit_outputs(None, matrix, ct) == [ct / "cross_test.csv", ct / "cross_test.svg"]
+        assert emit_outputs(None, None, dp, daily) == [dp / "daily_policy.csv", dp / "daily_policy.svg"]
+        assert sorted(p.name for p in ct.iterdir()) == ["cross_test.csv", "cross_test.svg"]
+        assert sorted(p.name for p in dp.iterdir()) == ["daily_policy.csv", "daily_policy.svg"]
 
     def test_curve_chart_has_one_polyline_per_agent(self, tmp_path):
         curves, matrix, _ = self.make_everything()

@@ -106,6 +106,16 @@ def test_truncated_checkpoint(tmp_path, checkpoint_bytes, data):
         ("layer_dims", "[1e400, 3]"),  # JSON infinity
         ("price_mean", "1" + "0" * 400),  # too large for a float
         ("step_count", "1e400"),
+        # normalizers that load without error but turn inputs into inf/NaN or flip their sign
+        ("price_mean", "NaN"),
+        ("price_mean", "-Infinity"),
+        ("price_std", "0"),
+        ("price_std", "-1.5"),
+        ("price_std", "NaN"),
+        ("price_std", "Infinity"),
+        ("charge_scale", "0"),
+        ("charge_scale", "-13.5"),
+        ("charge_scale", "NaN"),
     ],
 )
 def test_extreme_header_numbers(tmp_path, checkpoint_bytes, field, value):
@@ -115,8 +125,8 @@ def test_extreme_header_numbers(tmp_path, checkpoint_bytes, field, value):
     text = json.dumps(header, sort_keys=True)
     old = {
         "layer_dims": json.dumps(header["layer_dims"]),
-        "price_mean": json.dumps(header["normalizer"]["price_mean"]),
         "step_count": json.dumps(header["optimizer"]["step_count"]),
+        **{name: json.dumps(v) for name, v in header["normalizer"].items()},
     }[field]
     text = text.replace(f'"{field}": {old}', f'"{field}": {value}')
     assert value in text
