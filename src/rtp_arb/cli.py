@@ -259,19 +259,18 @@ def _cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 def _cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     series = read_price_csv(args.prices)
+    # Merge with curves from earlier runs in the same output directory so a
+    # year-by-year workflow accumulates one combined file. Read it before
+    # training, so a malformed file fails the command before the run, not after.
+    curves_path = cfg.out_dir / TRAINING_CURVES_CSV
+    earlier = read_training_curves_csv(curves_path) if curves_path.exists() else []
     curve, ckpt = train_agent(series, cfg.battery, cfg.hyper, cfg.steps, cfg.eval_every, cfg.seed)
 
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = cfg.out_dir / f"agent_{curve.year}.ckpt"
     save_checkpoint(ckpt.net, ckpt.opt, ckpt.norm, ckpt.metadata, ckpt_path)
 
-    # Merge with curves from earlier runs in the same output directory so a
-    # year-by-year workflow accumulates one combined file.
-    curves_path = cfg.out_dir / TRAINING_CURVES_CSV
-    curves = [curve]
-    if curves_path.exists():
-        curves += [c for c in read_training_curves_csv(curves_path) if c.year != curve.year]
-        curves.sort(key=lambda c: c.year)
+    curves = sorted([curve, *(c for c in earlier if c.year != curve.year)], key=lambda c: c.year)
     emit_outputs(curves, None, cfg.out_dir)
 
     best_step, best_ret = curve.best()

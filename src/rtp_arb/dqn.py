@@ -309,29 +309,19 @@ def load_checkpoint(path) -> Checkpoint:
             f"widths ending in {ACTION_COUNT} (one output per action)"
         )
 
-    shapes: list[tuple[int, ...]] = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        shapes.append((fan_in, fan_out))
-        shapes.append((fan_out,))
+    pairs = list(zip(dims[:-1], dims[1:]))
+    # parameter count in Python ints, exact on huge dims (int64 would wrap)
+    n = sum(fan_in * fan_out + fan_out for fan_in, fan_out in pairs)
+    extra = len(blob) - off - 3 * 8 * n
+    if extra < 0:
+        raise CheckpointError(f"checkpoint {path} parameter block is truncated")
+    if extra > 0:
+        raise CheckpointError(f"checkpoint {path} has {extra} trailing bytes")
+    # read-only rows of the file; QNetwork and AdamState copy them in
+    flat, m, v = np.frombuffer(blob, dtype="<f8", offset=off).reshape(3, n)
 
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal off
-        count = math.prod(shape)  # exact: np.prod would wrap on huge dims
-        end = off + 8 * count
-        if end > len(blob):
-            raise CheckpointError(f"checkpoint {path} parameter block is truncated")
-        # read-only; QNetwork and AdamState copy it in
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off = end
-        return arr
-
-    params = [take(s) for s in shapes]
-    first = [take(s) for s in shapes]
-    second = [take(s) for s in shapes]
-    if off != len(blob):
-        raise CheckpointError(f"checkpoint {path} has {len(blob) - off} trailing bytes")
-
-    net = QNetwork(params[0::2], params[1::2])
+    net = QNetwork([np.zeros(pair) for pair in pairs], [np.zeros(fan_out) for _, fan_out in pairs])
+    net.flat[:] = flat
     try:
         opt = AdamState(
             learning_rate=float(opt_f["learning_rate"]),
@@ -339,8 +329,8 @@ def load_checkpoint(path) -> Checkpoint:
             beta2=float(opt_f["beta2"]),
             epsilon=float(opt_f["epsilon"]),
             step_count=int(opt_f["step_count"]),
-            first_moment=first,
-            second_moment=second,
+            m=m,
+            v=v,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"checkpoint {path} optimizer header is corrupt: {exc}") from exc

@@ -90,6 +90,13 @@ class Hyperparams:
         for name in ("batch_size", "buffer_capacity", "learning_starts", "update_every", "target_sync_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the ring holds at most buffer_capacity transitions, so a larger batch
+        # is never sampled and the run would end without a single update
+        if self.batch_size > self.buffer_capacity:
+            raise ConfigError(
+                f"batch_size must not exceed buffer_capacity, "
+                f"got {self.batch_size} > {self.buffer_capacity}"
+            )
 
 
 @dataclass(frozen=True)
@@ -103,10 +110,10 @@ class TrainingCurve:
         if not self.points:
             raise ValidationError("training curve has no points")
         if self.points[0][0] != 0:
-            raise ValidationError(f"curve must start at step 0, got {self.points[0][0]}")
-        for (a, _), (b, _) in zip(self.points, self.points[1:]):
+            raise ValidationError(f"curve must start at step 0, got {self.points[0][0]}", position=0)
+        for i, ((a, _), (b, _)) in enumerate(zip(self.points, self.points[1:]), start=1):
             if b <= a:
-                raise ValidationError(f"curve steps must increase, got {a} then {b}")
+                raise ValidationError(f"curve steps must increase, got {a} then {b}", position=i)
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -435,16 +442,23 @@ def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
 
 def read_training_curves_csv(path) -> list[TrainingCurve]:
     rows = read_csv_rows(path, TRAINING_CURVES_HEADER, 3)
-    by_year: dict[int, list[tuple[int, float]]] = {}
+    by_year: dict[int, list[tuple[int, int, float]]] = {}
     for row_no, (year_s, step_s, ret_s) in rows:
         try:
             year, step = int(year_s), int(step_s)
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
-        by_year.setdefault(year, []).append((step, _finite(path, row_no, ret_s)))
+        by_year.setdefault(year, []).append((row_no, step, _finite(path, row_no, ret_s)))
     if not by_year:
         raise ValidationError(f"{path}: row 2: expected a curve point, got none")
-    return [TrainingCurve(year, tuple(pts)) for year, pts in sorted(by_year.items())]
+    curves = []
+    for year, rows_of_year in sorted(by_year.items()):
+        try:
+            curves.append(TrainingCurve(year, tuple((step, ret) for _, step, ret in rows_of_year)))
+        except ValidationError as exc:
+            # TrainingCurve owns the step-order checks; cite the CSV row
+            raise ValidationError(f"{path}: row {rows_of_year[exc.position][0]}: {exc}") from exc
+    return curves
 
 
 def write_cross_test_csv(matrix: CrossTestMatrix, path) -> None:

@@ -11,8 +11,7 @@ suite check gradients against finite differences directly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -248,10 +247,8 @@ def td_loss_and_grads(
 class AdamState:
     """Adaptive-moment optimizer state for one network.
 
-    The moments live in flat vectors ``m`` and ``v`` laid out like
-    ``QNetwork.flat``; ``first_moment`` and ``second_moment`` become tuples
-    of views into them, one per parameter array. The constructor copies the
-    given arrays in.
+    The moments ``m`` and ``v`` are flat float64 vectors laid out like
+    ``QNetwork.flat``. The constructor copies them in.
     """
 
     learning_rate: float = 1e-4
@@ -259,32 +256,23 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    first_moment: Sequence[np.ndarray] = ()
-    second_moment: Sequence[np.ndarray] = ()
+    m: np.ndarray = ()
+    v: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        self.m, first = _pack(self.first_moment)
-        self.v, second = _pack(self.second_moment)
-        self.first_moment, self.second_moment = tuple(first), tuple(second)
+        self.m = np.array(self.m, dtype=np.float64)
+        self.v = np.array(self.v, dtype=np.float64)
         # scratch for adam_update, so a step allocates nothing
         self._grad = np.empty_like(self.m)
         self._step = np.empty_like(self.m)
 
     @classmethod
     def for_network(cls, net: QNetwork, learning_rate: float = 1e-4) -> "AdamState":
-        zeros = [np.zeros_like(p) for p in net.parameters()]
-        return cls(learning_rate=learning_rate, first_moment=zeros, second_moment=zeros)
+        return cls(learning_rate=learning_rate, m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
 
     def clone(self) -> "AdamState":
-        return AdamState(
-            self.learning_rate,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
-            self.step_count,
-            self.first_moment,
-            self.second_moment,
-        )
+        # replace() runs the constructor, which copies m and v
+        return replace(self)
 
 
 def adam_update(opt: AdamState, net: QNetwork, grads: list[np.ndarray]) -> None:

@@ -258,6 +258,7 @@ class TestKnobErrors:
             ["--epsilon-start", "2"],  # once accepted, then failed in select_action
             ["--epsilon-end", "-0.5"],
             ["--learning-rate", "nan"],  # once exited 0 when no update ran
+            ["--batch-size", "64", "--buffer-capacity", "32"],  # once exited 0 with no update
         ],
     )
     def test_train_flag(self, tmp_path, capsys, clean_env, flags):
@@ -464,6 +465,21 @@ class TestWorkflow:
         for name, before in svgs.items():
             assert (out_dir / name).read_bytes() == before, name
 
+    def test_train_reads_earlier_curves_before_training(self, tmp_path, capsys, clean_env):
+        # a malformed curves file in the output directory once failed the
+        # command only after the whole run, throwing the new curve away
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        curves = out_dir / "training_curves.csv"
+        curves.write_text("year,step,greedy_return_cents\n2020,0,nan\n")
+        code, _ = self.train(tmp_path, 2021, out_dir)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"{curves}: row 2" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in out_dir.iterdir()) == ["training_curves.csv"]
+        assert curves.read_text() == "year,step,greedy_return_cents\n2020,0,nan\n"
+
     def test_eval_rejects_bad_day(self, tmp_path, capsys, clean_env):
         out_dir = tmp_path / "out"
         code, prices = self.train(tmp_path, 2021, out_dir)
@@ -536,6 +552,8 @@ class TestManifestAndPlotErrors:
             pytest.param("cross_test.csv", "agent_year,test_year,raw_return_cents,normalized\n", id="cross-header-only"),
             # once drawn as points="70.0,nan 610.0,nan" with exit 0
             pytest.param("training_curves.csv", "year,step,greedy_return_cents\n2017,0,nan\n", id="curves-nan"),
+            # once cited neither the file nor the row
+            pytest.param("training_curves.csv", "year,step,greedy_return_cents\n2017,10,1.0\n2017,0,2.0\n", id="curves-wrong-start"),
         ],
     )
     def test_plot_rejects_rows_no_writer_writes(self, tmp_path, capsys, clean_env, name, text):

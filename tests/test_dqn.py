@@ -296,10 +296,8 @@ class TestCheckpoint:
         assert loaded.metadata == metadata
         assert loaded.norm == norm
         assert loaded.opt.step_count == opt.step_count
-        for a, b in zip(opt.first_moment, loaded.opt.first_moment):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(opt.second_moment, loaded.opt.second_moment):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(opt.m, loaded.opt.m)
+        np.testing.assert_array_equal(opt.v, loaded.opt.v)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         _, _, _, _, path = self.roundtrip(tmp_path)

@@ -96,6 +96,15 @@ class TestTrainingCurve:
         with pytest.raises(ValidationError, match="increase"):
             TrainingCurve(2021, ((0, 1.0), (50, 2.0), (50, 3.0)))
 
+    @pytest.mark.parametrize(
+        "points, position",
+        [(((100, 1.0),), 0), (((0, 1.0), (50, 2.0), (50, 3.0)), 2), (((0, 1.0), (50, 2.0), (40, 3.0)), 2)],
+    )
+    def test_order_errors_carry_the_point_position(self, points, position):
+        with pytest.raises(ValidationError) as info:
+            TrainingCurve(2021, points)
+        assert info.value.position == position
+
     def test_best_takes_earliest_maximum(self):
         curve = TrainingCurve(2021, ((0, 1.0), (10, 5.0), (20, 5.0), (30, 2.0)))
         assert curve.best() == (10, 5.0)
@@ -202,6 +211,14 @@ class TestHyperparams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs)
+
+    def test_batch_may_fill_the_ring_but_not_exceed_it(self):
+        # sample_batch draws nothing while the ring holds fewer than a batch,
+        # and the ring never holds more than its capacity: such a run once
+        # trained to the end without a single optimizer step
+        assert Hyperparams(batch_size=32, buffer_capacity=32).batch_size == 32
+        with pytest.raises(ConfigError, match="batch_size must not exceed buffer_capacity, got 33 > 32"):
+            Hyperparams(batch_size=33, buffer_capacity=32)
 
 
 class TestEvaluateGreedy:
@@ -375,6 +392,10 @@ class TestCsvRoundTrips:
             # normalized cell is the only way to say "suppressed"
             pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2017,0,nan"), "row 2", id="curves-nan"),
             pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2017,0,1.0", "2017,10,-inf"), "row 3", id="curves-minus-inf"),
+            # the step order TrainingCurve checks, cited by row; the years interleave,
+            # so a point's index within its curve is not its row
+            pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2020,10,1.0", "2020,0,2.0"), "row 2: curve must start at step 0", id="curves-wrong-start"),
+            pytest.param(read_training_curves_csv, csv_text(CURVES_HEAD, "2020,0,1.0", "2021,0,1.0", "2020,10,2.0", "2021,10,2.0", "2020,10,3.0"), "row 6: curve steps must increase", id="curves-repeated-step"),
             pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 3, "2016,2017,nan,0.5")), "row 3", id="cross-raw-nan"),
             pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 4, "2017,2016,inf,0.8")), "row 4", id="cross-raw-inf"),
             pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 5, "2017,2017,10.0,nan")), "row 5", id="cross-normalized-nan"),

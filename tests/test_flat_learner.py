@@ -1,9 +1,9 @@
 """Flat parameter storage and the vectorised Adam step.
 
-The network and the optimizer hold their arrays as views into one float64
-vector each, and ``adam_update`` works on those vectors whole. The per-array
-loop it replaced is kept here as the reference: both must give the same
-parameters and moments bit for bit.
+The network holds its arrays as views into one float64 vector, the optimizer
+its moments as one vector each laid out the same way, and ``adam_update``
+works on those vectors whole. The per-array loop it replaced is kept here as
+the reference: both must give the same parameters and moments bit for bit.
 """
 
 import hashlib
@@ -70,19 +70,19 @@ def test_matches_per_array_loop_bit_for_bit(dims):
         adam_update(opt, net, grads)
         reference_adam_update(ref, params, first, second, grads)
     assert opt.step_count == ref.step_count == steps
-    for got, want in zip(
-        [*net.parameters(), *opt.first_moment, *opt.second_moment], params + first + second
-    ):
+    for got, want in zip(net.parameters(), params):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    assert opt.m.tobytes() == np.concatenate(first, axis=None).tobytes()
+    assert opt.v.tobytes() == np.concatenate(second, axis=None).tobytes()
 
 
 def test_parameters_and_moments_are_views_of_one_vector_each():
     net = init_network(4, seed=2, hidden_dims=(8, 6))
     opt = AdamState.for_network(net)
     assert_views_of(net.parameters(), net.flat)
-    assert_views_of(opt.first_moment, opt.m)
-    assert_views_of(opt.second_moment, opt.v)
+    for moment in (opt.m, opt.v):
+        assert moment.shape == net.flat.shape and moment.flags.c_contiguous
     assert [w.shape for w in net.weights] == [(5, 8), (8, 6), (6, 3)]
     net.weights[1][2, 3] = 7.5
     assert net.flat[5 * 8 + 8 + 2 * 6 + 3] == 7.5
@@ -91,8 +91,6 @@ def test_parameters_and_moments_are_views_of_one_vector_each():
         net.weights[1] = np.zeros((8, 6))
     with pytest.raises(TypeError):
         net.biases[0] = np.zeros(8)
-    with pytest.raises(TypeError):
-        opt.first_moment[0] = np.zeros((5, 8))
 
 
 def test_clone_and_sync_target_copy_rather_than_alias():
@@ -118,12 +116,12 @@ def test_built_from_arrays_without_aliasing_them():
     weights = [np.ones((2, 3)), np.ones((3, 3))]
     biases = [np.zeros(3), np.zeros(3)]
     net = QNetwork(weights, biases)
-    moments = [np.zeros_like(p) for p in net.parameters()]
-    opt = AdamState(first_moment=moments, second_moment=moments)
+    moments = np.zeros_like(net.flat)
+    opt = AdamState(m=moments, v=moments)
     weights[0][0, 0] = 9.0
-    moments[0][0, 0] = 9.0
+    moments[0] = 9.0
     assert net.weights[0][0, 0] == 1.0
-    assert opt.first_moment[0][0, 0] == 0.0 and opt.second_moment[0][0, 0] == 0.0
+    assert opt.m[0] == 0.0 and opt.v[0] == 0.0
     net.biases[1][0] = 5.0
     assert biases[1][0] == 0.0
     assert not np.shares_memory(opt.m, opt.v)
@@ -148,8 +146,8 @@ def test_checkpoint_bytes_and_loaded_state(tmp_path):
     assert loaded.opt.m.tobytes() == opt.m.tobytes()
     assert loaded.opt.v.tobytes() == opt.v.tobytes()
     assert_views_of(loaded.net.parameters(), loaded.net.flat)
-    assert_views_of(loaded.opt.first_moment, loaded.opt.m)
-    assert loaded.net.flat.flags.writeable and loaded.opt.v.flags.writeable
+    assert loaded.net.flat.flags.writeable
+    assert loaded.opt.m.flags.writeable and loaded.opt.v.flags.writeable
     # a loaded agent trains on: one more step matches the original's
     grads = [rng.normal(size=p.shape) for p in net.parameters()]
     adam_update(opt, net, grads)

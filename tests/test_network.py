@@ -246,4 +246,4 @@ class TestAdam:
         adam_update(opt, net, [np.ones_like(p) for p in net.parameters()])
         assert opt.step_count == 1
         assert twin.step_count == 0
-        assert np.all(twin.first_moment[0] == 0.0)
+        assert np.all(twin.m == 0.0) and np.all(twin.v == 0.0)
