@@ -54,6 +54,10 @@ class Action(enum.IntEnum):
         return self.name.lower()
 
 
+#: The actions by code: ``ACTIONS[a] is Action(a)``, without the enum call.
+ACTIONS: tuple[Action, ...] = tuple(Action)
+
+
 @dataclass(frozen=True)
 class BatteryConfig:
     """Battery parameters: usable capacity, hourly charge/discharge rate, and
@@ -288,16 +292,24 @@ def reachable_charges(config: BatteryConfig) -> set[float]:
     return states
 
 
-def charge_grid(config: BatteryConfig) -> tuple[list[float], np.ndarray]:
-    """The sorted :func:`reachable_charges` and their (n_levels, 3) successor
-    table: ``levels[i]`` under action ``a`` lands on ``levels[table[i, a]]``."""
+def charge_grid(
+    prices: PriceSeries, config: BatteryConfig
+) -> tuple[list[float], list[list[int]], list[float], int]:
+    """The (hour index, charge level) grid of an episode over ``prices``.
+
+    Returns the sorted :func:`reachable_charges`, their successor lists
+    (``levels[i]`` under action ``a`` lands on ``levels[succ[i][a]]``), the
+    price deltas ``p[n+1] - p[n]`` (``levels[i] * deltas[n]`` is the reward
+    of :func:`reward`, bit for bit) and the index of the empty level every
+    episode starts from, all as plain Python numbers for per-step walks.
+    """
     levels = sorted(reachable_charges(config))
     index = {w: i for i, w in enumerate(levels)}
-    table = np.empty((len(levels), len(Action)), dtype=np.intp)
-    for i, w in enumerate(levels):
-        for a in Action:
-            table[i, a] = index[apply_action(w, a, config)]
-    return levels, table
+    succ = [[index[apply_action(w, a, config)] for a in Action] for w in levels]
+    # a step past the float range is inf, without a warning: the oracle rejects it
+    with np.errstate(over="ignore"):
+        deltas = np.diff(prices.prices).tolist()
+    return levels, succ, deltas, index[0.0]
 
 
 def episode_return(transitions: Iterable[Transition]) -> float:

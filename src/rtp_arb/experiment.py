@@ -34,7 +34,7 @@ from .dqn import (
     train_step,
 )
 # reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
-from .env import Action, BatteryConfig, PriceSeries, charge_grid, reset, step
+from .env import ACTIONS, Action, BatteryConfig, PriceSeries, charge_grid, reset, step
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
@@ -65,9 +65,6 @@ DEFAULT_EVAL_EVERY = 10_000
 #: allocator handed each block's layer outputs (300-400 KiB each) back to
 #: the OS and faulted them in again, some 11k page faults per year.
 GREEDY_BLOCK_HOURS = 32
-
-_ACTIONS = tuple(Action)
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -132,20 +129,6 @@ class TrainingCurve:
         return best_step, best_ret
 
 
-def _grid(prices: PriceSeries, config: BatteryConfig, norm: ObservationNormalizer) -> tuple:
-    """The (hour index, charge level) grid that training and greedy evaluation walk.
-
-    Returns the reachable charge levels, their successor lists (``levels[i]``
-    under action ``a`` lands on ``levels[succ[i][a]]``), the normalized price
-    windows, the price deltas ``p[n+1] - p[n]`` (``levels[i] * deltas[n]`` is
-    the reward of :func:`rtp_arb.env.reward`, bit for bit) and the index of
-    the empty level every episode starts from.
-    """
-    levels, table = charge_grid(config)
-    windows = norm.price_windows(prices.prices, config.window_hours)
-    return levels, table.tolist(), windows, np.diff(prices.prices).tolist(), levels.index(0.0)
-
-
 def greedy_rollout(
     net: QNetwork,
     norm: ObservationNormalizer,
@@ -159,7 +142,8 @@ def greedy_rollout(
 
     The result is that of stepping the environment with
     ``select_action(forward(net, obs, norm), 0.0)``, computed without
-    stepping it, on the grid :func:`train_agent` walks too: an observation
+    stepping it, on the :func:`rtp_arb.env.charge_grid` that
+    :func:`train_agent` and the oracle walk too: an observation
     is a pure function of (hour index, charge level), so batched forwards
     fill a table of the greedy action at every grid point, one block of
     hours at a time, and the episode is an integer walk through each block
@@ -175,7 +159,8 @@ def greedy_rollout(
         )
     if net.layer_dims[-1] != len(Action):
         raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
-    levels, succ, windows, deltas, i = _grid(prices, config, norm)
+    levels, succ, deltas, i = charge_grid(prices, config)
+    windows = norm.price_windows(prices.prices, config.window_hours)
     n_steps, n_levels = len(prices) - 1, len(levels)
 
     # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]).
@@ -193,7 +178,7 @@ def greedy_rollout(
             total += levels[i] * deltas[n]
             a = row[i]
             i = succ[i][a]
-            actions.append(_ACTIONS[a])
+            actions.append(ACTIONS[a])
             charges.append(levels[i])
     return total, actions, charges
 
@@ -228,7 +213,8 @@ def train_agent(
     target = net.clone()
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
-    levels, succ, windows, deltas, empty = _grid(prices, config, norm)
+    levels, succ, deltas, empty = charge_grid(prices, config)
+    windows = norm.price_windows(prices.prices, config.window_hours)
     pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)

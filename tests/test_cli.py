@@ -87,6 +87,15 @@ class TestOracleCommand:
         assert run(["oracle", "--prices", prices]) == 0
         assert "0.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("values", [[1e308, -1e308, 1e308, 1.0], [0.0, 1e308, 0.0, 1e308, 0.0]])
+    def test_overflowing_prices_are_an_error(self, values, tmp_path, capsys, clean_env):
+        prices = write_series_csv(tmp_path / "huge.csv", values)
+        assert run(["oracle", "--prices", prices]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: hindsight value at hour")
+        assert "Traceback" not in captured.err
+
 
 class TestConfigPrecedence:
     def parse(self, argv):

@@ -15,7 +15,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from conftest import square_wave_series
+from conftest import random_walk, square_wave_series
 from rtp_arb import (
     AdamState,
     BatteryConfig,
@@ -24,6 +24,7 @@ from rtp_arb import (
     ObservationNormalizer,
     PriceSeries,
     cross_test,
+    hindsight_optimal,
     init_network,
     save_checkpoint,
     train_agent,
@@ -108,3 +109,27 @@ def test_small_cross_test_raw_matrix():
         [81.812, 1.3215000000000083, 73.88049999999996],
         [21.97450000000001, -15.764999999999983, 138.20950000000002],
     ]
+
+
+@pytest.mark.parametrize(
+    "series, value, digest",
+    [
+        (
+            square_wave_series(),
+            19710.0,
+            "d315c869708d31cd8b4ad851520aea501161005502d638809308f43eb889cdfd",
+        ),
+        (
+            random_walk(0, 8760),
+            22428.72942069336,
+            "9b4576f4e00a498dfbbf9f1165b3931907165a676b796706045d5f7d39eb6045",
+        ),
+    ],
+    ids=["square_wave", "random_walk_0"],
+)
+def test_oracle_plan_of_a_year(series, value, digest):
+    # no BLAS in the sweep: these pins are portable
+    plan = hindsight_optimal(series, BatteryConfig())
+    assert plan.value == value
+    pinned = repr((plan.value, [int(a) for a in plan.actions]))
+    assert hashlib.sha256(pinned.encode()).hexdigest() == digest

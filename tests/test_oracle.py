@@ -19,6 +19,7 @@ from rtp_arb import (
     Action,
     BatteryConfig,
     Observation,
+    ValidationError,
     brute_force_optimal,
     episode_return,
     hindsight_optimal,
@@ -59,6 +60,14 @@ class TestHindsightOptimal:
         plan = hindsight_optimal(s, powerwall)
         replayed = episode_return(simulate(s, powerwall, plan.actions))
         assert replayed == pytest.approx(plan.value, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "prices", [[1e308, -1e308, 1e308, 1.0], [0.0, 1e308, 0.0, 1e308, 0.0]], ids=["step", "value"]
+    )
+    def test_overflow_is_a_validation_error(self, prices, powerwall):
+        # the first overflows a price step, the second only a value
+        with pytest.raises(ValidationError, match="not finite"):
+            hindsight_optimal(make_series(prices), powerwall)
 
     @given(prices=continuous_prices(min_len=2, max_len=12), config=continuous_configs())
     @settings(max_examples=100, deadline=None)
