@@ -7,7 +7,7 @@ Run it directly, no data or training required:
     python3 demos/environment_walkthrough.py
 """
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 from rtp_arb import (
     Action,
@@ -25,7 +25,7 @@ config = BatteryConfig(capacity_kwh=1.0, rate_kw=1.0, window_hours=1)
 
 # Three hourly prices in cents per kWh: cheap, cheaper, expensive.
 start = datetime(2018, 1, 1, tzinfo=timezone.utc)
-prices = PriceSeries([start + timedelta(hours=i) for i in range(3)], [3.0, 1.0, 5.0])
+prices = PriceSeries(start, [3.0, 1.0, 5.0])
 
 print("prices:", prices.prices.tolist(), "cents/kWh")
 print()

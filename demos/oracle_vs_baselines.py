@@ -7,7 +7,7 @@ the exact hindsight optimum, a price-threshold band, and doing nothing.
     python3 demos/oracle_vs_baselines.py
 """
 
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 from rtp_arb import (
     BatteryConfig,
@@ -24,9 +24,7 @@ from rtp_arb import (
 # One year of square-wave prices: 12 hours at 2 cents, 12 hours at 6 cents.
 start = datetime(2021, 1, 1, tzinfo=timezone.utc)
 day = [2.0] * 12 + [6.0] * 12
-prices = PriceSeries(
-    [start + timedelta(hours=i) for i in range(365 * 24)], day * 365
-)
+prices = PriceSeries(start, day * 365)
 config = BatteryConfig()  # 13.5 kWh home battery at 5 kW
 
 # The oracle runs backward induction over every reachable charge level, so

@@ -8,7 +8,7 @@ plus SVG chart under demos/output/. Takes a few seconds.
 """
 
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 from rtp_arb import (
@@ -26,7 +26,7 @@ eval_every = max(total_steps // 10, 1)
 
 start = datetime(2021, 1, 1, tzinfo=timezone.utc)
 day = [2.0] * 12 + [6.0] * 12
-prices = PriceSeries([start + timedelta(hours=i) for i in range(365 * 24)], day * 365)
+prices = PriceSeries(start, day * 365)
 config = BatteryConfig()
 
 ceiling = hindsight_optimal(prices, config).value

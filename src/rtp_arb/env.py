@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -87,68 +87,53 @@ def _require_utc(ts: datetime) -> None:
 
 
 class PriceSeries:
-    """A gap-free chronological sequence of hourly prices.
+    """A gap-free chronological sequence of hourly prices: ``start`` is the
+    UTC start of the first hour, ``prices`` the cents/kWh of that hour and
+    each one after it, as a read-only float64 array."""
 
-    ``hours`` are UTC hour-start timestamps advancing by exactly one hour;
-    ``prices`` are the matching cents/kWh values as a read-only float64 array.
-    """
+    __slots__ = ("start", "prices")
 
-    __slots__ = ("hours", "prices")
-
-    def __init__(self, hours: Sequence[datetime], prices: Sequence[float]):
-        hours = tuple(hours)
+    def __init__(self, start: datetime, prices: Sequence[float]):
+        _require_utc(start)
         values = np.asarray(prices, dtype=np.float64).copy()
-        if values.ndim != 1 or len(hours) != values.shape[0]:
-            raise ValidationError(
-                f"hours ({len(hours)}) and prices ({values.shape}) do not align"
-            )
-        if len(hours) < 2:
-            raise ValidationError(f"price series needs at least 2 hours, got {len(hours)}")
+        if values.ndim != 1 or len(values) < 2:
+            raise ValidationError(f"price series needs at least 2 hours, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             bad = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValidationError(f"non-finite price at position {bad}", position=bad)
-        _require_utc(hours[0])
-        for i in range(1, len(hours)):
-            _require_utc(hours[i])
-            if hours[i] - hours[i - 1] != HOUR:
-                raise ValidationError(
-                    f"hours must advance by exactly 1h; gap between "
-                    f"{hours[i - 1].isoformat()} and {hours[i].isoformat()}",
-                    position=i,
-                )
+        if len(values) - 1 > (datetime.max.replace(tzinfo=timezone.utc) - start) // HOUR:
+            raise ValidationError(f"hour {len(values) - 1} falls past year 9999", position=len(values) - 1)
         values.setflags(write=False)
-        object.__setattr__(self, "hours", hours)
+        object.__setattr__(self, "start", start)
         object.__setattr__(self, "prices", values)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PriceSeries is immutable")
 
     def __len__(self) -> int:
-        return len(self.hours)
+        return len(self.prices)
+
+    @property
+    def hours(self) -> tuple[datetime, ...]:
+        """The UTC hour-start of each price, derived from ``start``."""
+        return tuple(self.start + i * HOUR for i in range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PriceSeries):
             return NotImplemented
-        return self.hours == other.hours and np.array_equal(self.prices, other.prices)
+        return self.start == other.start and np.array_equal(self.prices, other.prices)
 
     def __repr__(self) -> str:
-        return (
-            f"PriceSeries({len(self)} hours, "
-            f"{self.hours[0].isoformat()} .. {self.hours[-1].isoformat()})"
-        )
+        last = self.start + (len(self) - 1) * HOUR
+        return f"PriceSeries({len(self)} hours, {self.start.isoformat()} .. {last.isoformat()})"
 
-    @classmethod
-    def from_prices(cls, start_utc: datetime, prices: Sequence[float]) -> "PriceSeries":
-        """Build a series from a start hour and consecutive hourly prices."""
-        _require_utc(start_utc)
-        n = len(np.asarray(prices))
-        return cls([start_utc + i * HOUR for i in range(n)], prices)
+    #: The constructor under its former name.
+    from_prices = classmethod(lambda cls, start, prices: cls(start, prices))
 
     def index_of(self, hour: datetime) -> int:
         """Position of a UTC hour-start within the series."""
         _require_utc(hour)
-        delta = hour - self.hours[0]
-        idx, rem = divmod(int(delta.total_seconds()), 3600)
+        idx, rem = divmod(int((hour - self.start).total_seconds()), 3600)
         if rem != 0 or not 0 <= idx < len(self):
             raise ValidationError(f"{hour.isoformat()} is not an hour of this series")
         return idx

@@ -34,7 +34,7 @@ from .dqn import (
     train_step,
 )
 # reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
-from .env import ACTIONS, Action, BatteryConfig, PriceSeries, charge_grid, reset, step
+from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
@@ -45,7 +45,7 @@ from .network import (
     init_network,
     input_rows,
 )
-from .ingest import TIMESTAMP_FORMAT, parse_timestamp, read_csv_rows
+from .ingest import TIMESTAMP_FORMAT, read_csv_rows, read_finite, read_hourly_rows
 
 log = logging.getLogger(__name__)
 
@@ -140,9 +140,10 @@ def greedy_rollout(
     Returns the episode return plus the per-step actions and post-action
     charge levels (both length M-1 for M prices).
 
-    The result is that of stepping the environment with
-    ``select_action(forward(net, obs, norm), 0.0)``, computed without
-    stepping it, on the :func:`rtp_arb.env.charge_grid` that
+    The actions and return are exactly those of stepping the environment
+    with ``select_action(forward(net, obs, norm), 0.0)``, computed without
+    stepping it (the batched Q-values agree with ``forward``'s to a few
+    ulps, not bit for bit), on the :func:`rtp_arb.env.charge_grid` that
     :func:`train_agent` and the oracle walk too: an observation
     is a pure function of (hour index, charge level), so batched forwards
     fill a table of the greedy action at every grid point, one block of
@@ -214,13 +215,13 @@ def train_agent(
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     levels, succ, deltas, empty = charge_grid(prices, config)
-    windows = norm.price_windows(prices.prices, config.window_hours)
+    # row n + 1 of the (L+1)-hour windows holds hour n's window, then hour n + 1's price
     pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
 
-    year = prices.hours[0].year
+    year = prices.start.year
     points: list[tuple[int, float]] = []
     best: tuple[float, int, QNetwork, AdamState] | None = None
 
@@ -243,7 +244,7 @@ def train_agent(
         # forward when the coin explores
         a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
         if a is None:
-            row[0, :-1] = windows[n]
+            row[0, :-1] = pairs[n + 1][:-1]
             row[0, -1] = levels[i] / norm.charge_scale
             a = select_action(forward_batch(net, row)[0], 0.0)
         j = succ[i][a]
@@ -304,15 +305,27 @@ class CrossTestMatrix:
     """All agents evaluated on all years.
 
     ``raw`` holds returns in cents, rows indexed by agent year and columns
-    by test year (same ordering). ``normalized`` divides each column by its
-    same-year return; columns whose same-year return is not positive are
-    suppressed (NaN) and listed in ``suppressed_years``.
+    by test year (same ordering). ``normalized`` is derived from it: each
+    column divided by its same-year return; columns whose same-year return
+    is not positive are suppressed (NaN) and listed in ``suppressed_years``.
     """
 
     years: tuple[int, ...]
     raw: np.ndarray
-    normalized: np.ndarray
-    suppressed_years: tuple[int, ...]
+    normalized: np.ndarray = field(init=False)
+    suppressed_years: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        normalized = np.full(self.raw.shape, np.nan)
+        suppressed = []
+        for j, test_year in enumerate(self.years):
+            same_year = self.raw[j, j]
+            if same_year > 0.0:
+                normalized[:, j] = self.raw[:, j] / same_year
+            else:
+                suppressed.append(test_year)
+        object.__setattr__(self, "normalized", normalized)
+        object.__setattr__(self, "suppressed_years", tuple(suppressed))
 
     def off_diagonal_means(self) -> dict[int, float]:
         """Per-agent mean normalized return over the other, unsuppressed years."""
@@ -347,38 +360,30 @@ def cross_test(
         for j, test_year in enumerate(years):
             raw[i, j] = evaluate_greedy(ckpt, series[test_year], config)
 
-    normalized = np.full((n, n), np.nan)
-    suppressed = []
-    for j, test_year in enumerate(years):
-        same_year = raw[j, j]
-        if same_year > 0.0:
-            normalized[:, j] = raw[:, j] / same_year
-        else:
-            suppressed.append(test_year)
-            log.warning(
-                "year %d same-year return %.3f cents is not positive; "
-                "normalization suppressed for that column",
-                test_year,
-                same_year,
-            )
-    return CrossTestMatrix(years, raw, normalized, tuple(suppressed))
+    return CrossTestMatrix(years, raw)
 
 
 @dataclass(frozen=True)
 class DailyPolicyTrace:
-    """One day of greedy dispatch: 24 hourly prices, actions, and charges."""
+    """Greedy dispatch over whole days: from the UTC hour ``start``, 24
+    hourly prices a day, with the action and post-action charge of each."""
 
-    hours: tuple[datetime, ...]
+    start: datetime
     prices: tuple[float, ...]
     actions: tuple[Action, ...]
     charge_after: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.hours)
+        n = len(self.prices)
         if n == 0 or n % 24 != 0:
             raise ValidationError(f"daily trace needs whole days of 24 rows, got {n}")
-        if not len(self.prices) == len(self.actions) == len(self.charge_after) == n:
+        if not len(self.actions) == len(self.charge_after) == n:
             raise ValidationError("daily trace fields are not the same length")
+
+    @property
+    def hours(self) -> tuple[datetime, ...]:
+        """The UTC hour-start of each row, derived from ``start``."""
+        return tuple(self.start + i * HOUR for i in range(len(self.prices)))
 
 
 def daily_policy_trace(
@@ -391,31 +396,20 @@ def daily_policy_trace(
     are returned. The final series hour has no action, so a day touching it
     is rejected.
     """
-    first = prices.index_of(datetime.combine(day, dtime(), tzinfo=timezone.utc))
+    start = datetime.combine(day, dtime(), tzinfo=timezone.utc)
+    first = prices.index_of(start)
     last = first + 23
     if last > len(prices) - 2:
         raise ValidationError(
             f"day {day.isoformat()} is not fully covered by dispatchable hours of {prices!r}"
         )
     _, actions, charges = greedy_rollout(ckpt.net, ckpt.norm, prices, config)
-    hours = prices.hours[first : last + 1]
     return DailyPolicyTrace(
-        hours=tuple(hours),
+        start=start,
         prices=tuple(float(p) for p in prices.prices[first : last + 1]),
         actions=tuple(actions[first : last + 1]),
         charge_after=tuple(charges[first : last + 1]),
     )
-
-
-def _finite(path, row_no: int, text: str) -> float:
-    """A number field of a result CSV row; the writers write only finite ones."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: row {row_no}: bad number {text!r}")
-    return value
 
 
 def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
@@ -434,7 +428,7 @@ def read_training_curves_csv(path) -> list[TrainingCurve]:
             year, step = int(year_s), int(step_s)
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
-        by_year.setdefault(year, []).append((row_no, step, _finite(path, row_no, ret_s)))
+        by_year.setdefault(year, []).append((row_no, step, read_finite(path, row_no, ret_s)))
     if not by_year:
         raise ValidationError(f"{path}: row 2: expected a curve point, got none")
     curves = []
@@ -459,27 +453,30 @@ def write_cross_test_csv(matrix: CrossTestMatrix, path) -> None:
 
 def read_cross_test_csv(path) -> CrossTestMatrix:
     rows = read_csv_rows(path, CROSS_TEST_HEADER, 4)
-    raw_map: dict[tuple[int, int], float] = {}
-    norm_map: dict[tuple[int, int], float] = {}
+    # (agent year, test year) -> (row number, raw return, normalized cell)
+    cells: dict[tuple[int, int], tuple[int, float, float]] = {}
     for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
         try:
             key = (int(agent_s), int(test_s))
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
-        if key in raw_map:
+        if key in cells:
             raise ValidationError(f"{path}: row {row_no}: agent {key[0]} on {key[1]} is listed twice")
-        raw_map[key] = _finite(path, row_no, raw_s)
         # an empty cell is a suppressed column, the only non-finite value written
-        norm_map[key] = _finite(path, row_no, norm_s) if norm_s else float("nan")
-    if not raw_map:
+        norm = read_finite(path, row_no, norm_s) if norm_s else math.nan
+        cells[key] = (row_no, read_finite(path, row_no, raw_s), norm)
+    if not cells:
         raise ValidationError(f"{path}: row 2: expected an (agent, test) return, got none")
-    years = tuple(sorted({a for a, _ in raw_map}))
-    if set(raw_map) != {(a, t) for a in years for t in years}:
+    years = tuple(sorted({a for a, _ in cells}))
+    if set(cells) != {(a, t) for a in years for t in years}:
         raise ValidationError(f"{path}: cross-test grid is not complete over {years}")
-    raw = np.array([[raw_map[(a, t)] for t in years] for a in years])
-    normalized = np.array([[norm_map[(a, t)] for t in years] for a in years])
-    suppressed = tuple(t for j, t in enumerate(years) if not np.isfinite(normalized[:, j]).any())
-    return CrossTestMatrix(years, raw, normalized, suppressed)
+    matrix = CrossTestMatrix(years, np.array([[cells[(a, t)][1] for t in years] for a in years]))
+    # the writer writes repr, which round-trips: a written cell matches exactly
+    for (a, t), (row_no, _, norm) in cells.items():
+        derived = float(matrix.normalized[years.index(a), years.index(t)])
+        if not (norm == derived or (math.isnan(norm) and math.isnan(derived))):
+            raise ValidationError(f"{path}: row {row_no}: normalized {norm!r} is not the derived {derived!r}")
+    return matrix
 
 
 def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
@@ -492,35 +489,30 @@ def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
 
 
 def read_daily_policy_csv(path) -> DailyPolicyTrace:
-    rows = read_csv_rows(path, DAILY_POLICY_HEADER, 4)
-    hours = []
+    start = None
     prices = []
     actions = []
     charges = []
-    for row_no, (ts_s, price_s, action_s, charge_s) in rows:
-        try:
-            hours.append(parse_timestamp(ts_s))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad timestamp {ts_s!r}") from exc
+    for row_no, start, (price_s, action_s, charge_s) in read_hourly_rows(path, DAILY_POLICY_HEADER, 4):
         try:
             actions.append(Action[action_s.upper()])
         except KeyError as exc:
             raise ValidationError(f"{path}: row {row_no}: unknown action {action_s!r}") from exc
-        prices.append(_finite(path, row_no, price_s))
-        charges.append(_finite(path, row_no, charge_s))
-    return DailyPolicyTrace(tuple(hours), tuple(prices), tuple(actions), tuple(charges))
+        prices.append(read_finite(path, row_no, price_s))
+        charges.append(read_finite(path, row_no, charge_s))
+    return DailyPolicyTrace(start, tuple(prices), tuple(actions), tuple(charges))
 
 
 def render_daily_policy_svg(trace: DailyPolicyTrace, path) -> Path:
     """Step chart of one day: price level plus battery charge, hour by hour."""
-    hours_axis = list(range(len(trace.hours)))
+    hours_axis = list(range(len(trace.prices)))
     marks = "".join(str(a)[0].upper() for a in trace.actions)
     charts.line_chart(
         [
             charts.Series("price (c/kWh)", hours_axis, trace.prices),
             charts.Series("charge (kWh)", hours_axis, trace.charge_after),
         ],
-        f"Dispatch on {trace.hours[0].date().isoformat()} [{marks}]",
+        f"Dispatch on {trace.start.date().isoformat()} [{marks}]",
         "hour (UTC)",
         "price / charge",
         path,

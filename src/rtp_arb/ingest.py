@@ -177,16 +177,14 @@ def fetch_five_minute_feed(
     return [collected[ts] for ts in sorted(collected)]
 
 
-def _floor_hour(ts: datetime) -> datetime:
-    return ts.replace(minute=0, second=0, microsecond=0)
-
-
 def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, IngestReport]:
     """Average 5-minute samples into a gap-free hourly series.
 
     Each hour's price is the mean of its samples; hours with none are filled
     by linear interpolation between the nearest sampled hours and flagged in
     the report. First and last hours always have samples by construction.
+    Samples are binned by their whole-hour offset from the first sample's
+    hour; ``np.bincount`` adds each hour's prices in sample order from 0.0.
     """
     for a, b in zip(samples, samples[1:]):
         if a.timestamp_utc >= b.timestamp_utc:
@@ -197,15 +195,12 @@ def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, 
     if not samples:
         raise InsufficientDataError("no samples to aggregate")
 
-    first_hour = _floor_hour(samples[0].timestamp_utc)
-    last_hour = _floor_hour(samples[-1].timestamp_utc)
-    n_hours = int((last_hour - first_hour) / HOUR) + 1
-    sums = np.zeros(n_hours)
-    counts = np.zeros(n_hours, dtype=np.intp)
-    for s in samples:
-        idx = int((_floor_hour(s.timestamp_utc) - first_hour) / HOUR)
-        sums[idx] += s.price_cents_per_kwh
-        counts[idx] += 1
+    start = samples[0].timestamp_utc.replace(minute=0, second=0, microsecond=0)
+    offsets = np.fromiter(((s.timestamp_utc - start) // HOUR for s in samples), np.intp, len(samples))
+    values = np.fromiter((s.price_cents_per_kwh for s in samples), np.float64, len(samples))
+    counts = np.bincount(offsets)
+    sums = np.bincount(offsets, weights=values)
+    n_hours = len(counts)
 
     sampled = counts > 0
     if int(sampled.sum()) < 2:
@@ -218,11 +213,10 @@ def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, 
         idx = np.arange(n_hours)
         prices[~sampled] = np.interp(idx[~sampled], idx[sampled], prices[sampled])
 
-    hours = [first_hour + i * HOUR for i in range(n_hours)]
-    series = PriceSeries(hours, prices)
+    series = PriceSeries(start, prices)
     report = IngestReport(
         hours_emitted=n_hours,
-        hours_interpolated=tuple(hours[i] for i in np.flatnonzero(~sampled)),
+        hours_interpolated=tuple(start + i * HOUR for i in np.flatnonzero(~sampled).tolist()),
         samples_per_hour_min=int(counts[sampled].min()),
     )
     return series, report
@@ -273,26 +267,46 @@ def read_csv_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, list[
         yield row_no, parts
 
 
+def read_finite(path, row_no: int, text: str) -> float:
+    """A number field of a CSV row; the writers write only finite ones."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: row {row_no}: bad number {text!r}")
+    return value
+
+
+def read_hourly_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, datetime, list[str]]]:
+    """Yield ``(row number, start, other fields)`` of a strict CSV of consecutive hours.
+
+    The first field is an hour stamp and ``start`` the first row's; each
+    row's stamp must be one hour after the row before, or the row is cited.
+    """
+    start = None
+    for i, (row_no, (stamp_s, *fields)) in enumerate(read_csv_rows(path, header, n_fields)):
+        try:
+            stamp = parse_timestamp(stamp_s)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: row {row_no}: bad timestamp {stamp_s!r}") from exc
+        if start is None:
+            start = stamp
+        # the difference of two parsed stamps cannot overflow, unlike start + i * HOUR
+        elif stamp - start != i * HOUR:
+            raise ValidationError(f"{path}: row {row_no}: {stamp_s} is not one hour after the row before")
+        yield row_no, start, fields
+
+
 def read_price_csv(path) -> PriceSeries:
     """Read the cache format back; errors cite the 1-based offending row."""
-    hours = []
+    start = None
     prices = []
-    for row_no, (ts_s, price_s) in read_csv_rows(path, CSV_HEADER, 2):
-        try:
-            hours.append(parse_timestamp(ts_s))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad timestamp {ts_s!r}") from exc
-        try:
-            prices.append(float(price_s))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad price {price_s!r}") from exc
-    if len(hours) < 2:
+    for row_no, start, (price_s,) in read_hourly_rows(path, CSV_HEADER, 2):
+        prices.append(read_finite(path, row_no, price_s))
+    if len(prices) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 price rows")
-    try:
-        return PriceSeries(hours, prices)
-    except ValidationError as exc:
-        # PriceSeries owns the hour-step and finiteness checks; cite the CSV row
-        raise ValidationError(f"{path}: row {exc.position + 2}: {exc}") from exc
+    return PriceSeries(start, prices)
 
 
 def default_data_dir() -> Path:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .env import Observation
+from .errors import ValidationError
 
 #: Hidden layer widths of the default architecture.
 HIDDEN_DIMS = (64, 64)
@@ -121,8 +122,12 @@ class ObservationNormalizer:
 
     @classmethod
     def from_series(cls, prices_cents: np.ndarray, capacity_kwh: float) -> "ObservationNormalizer":
-        mean = float(np.mean(prices_cents))
-        std = float(np.std(prices_cents))
+        # a sum past the float range is inf or nan, without a warning: rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(prices_cents))
+            std = float(np.std(prices_cents))
+        if not math.isfinite(mean):
+            raise ValidationError("price mean is not finite: prices beyond float range")
         # a constant series rounds to a tiny but nonzero std; dividing by it
         # would blow inputs up by ~1e15, so treat vanishing spread as unit
         if not math.isfinite(std) or std <= 1e-12 * max(1.0, abs(mean)):
@@ -180,9 +185,11 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
     """Q-values (3,) for one raw observation.
 
-    The readable specification of what the agent acts on; training and
-    evaluation get the same bits from :func:`forward_batch` on
-    :func:`input_rows`, and the reference tests compare the two.
+    The readable specification of what the agent acts on. Training and
+    evaluation run :func:`forward_batch` on :func:`input_rows` instead: a
+    row inside a batch of several rounds differently in the last bits, so
+    their Q-values agree with these to a few ulps, while the actions and
+    returns match exactly, as the reference tests check.
     """
     return forward_batch(net, norm.apply(obs.vector()[None]))[0]
 

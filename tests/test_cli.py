@@ -30,9 +30,7 @@ UTC = timezone.utc
 
 
 def write_series_csv(path, prices, year=2021):
-    start = datetime(year, 1, 1, tzinfo=UTC)
-    hours = [start + i * timedelta(hours=1) for i in range(len(prices))]
-    write_price_csv(PriceSeries(hours, prices), path)
+    write_price_csv(PriceSeries(datetime(year, 1, 1, tzinfo=UTC), prices), path)
     return str(path)
 
 
@@ -94,6 +92,36 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: hindsight value at hour")
+        assert "Traceback" not in captured.err
+
+
+class TestTrainCommand:
+    def test_overflowing_prices_are_an_error(self, tmp_path, capsys, clean_env):
+        # the mean of these prices overflows, so no normalizer fits them
+        prices = write_series_csv(tmp_path / "huge.csv", [1e308, -1e308, 1e308, 1.0] * 12)
+        assert run(["train", "--prices", prices, "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: price mean is not finite")
+        assert "Traceback" not in captured.err
+
+
+class TestPriceCsvErrors:
+    @pytest.mark.parametrize(
+        "rows, cited",
+        [
+            (["2021-01-01T00:00:00Z,1.0", "2021-01-01T02:00:00Z,2.0"], "row 3: 2021-01-01T02:00:00Z"),
+            # no stamp after the last hour of year 9999 can be written
+            (["9999-12-31T23:00:00Z,1.0", "0001-01-01T00:00:00Z,2.0"], "row 3: 0001-01-01T00:00:00Z"),
+        ],
+        ids=["gap", "past-year-9999"],
+    )
+    def test_hours_that_do_not_step_by_one_are_an_error(self, rows, cited, tmp_path, capsys, clean_env):
+        path = tmp_path / "prices.csv"
+        path.write_text("hour_start_utc,price_cents_per_kwh\n" + "".join(r + "\n" for r in rows))
+        assert run(["oracle", "--prices", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert cited in captured.err
         assert "Traceback" not in captured.err
 
 
@@ -569,6 +597,33 @@ class TestManifestAndPlotErrors:
         (tmp_path / name).write_text(text)
         assert run(["plot", "--in", str(tmp_path)]) == 1
         assert "row 2" in capsys.readouterr().err
+        assert not (tmp_path / name).with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize(
+        "name, rows",
+        [
+            # once rendered with exit 0: hours of two days, out of order
+            pytest.param(
+                "daily_policy.csv",
+                ["hour_start_utc,price_cents_per_kwh,action,charge_kwh_after"]
+                + [f"2021-01-0{1 + h // 12}T{(h + 12) % 24:02d}:00:00Z,2.0,idle,0.0" for h in (0, 2, 1, *range(3, 24))],
+                id="daily-shuffled-hours",
+            ),
+            # once rendered with exit 0: 7.5 where raw over diagonal is 0.5
+            pytest.param(
+                "cross_test.csv",
+                ["agent_year,test_year,raw_return_cents,normalized", "2016,2016,10.0,1.0",
+                 "2016,2017,5.0,7.5", "2017,2016,8.0,0.8", "2017,2017,10.0,1.0"],
+                id="cross-normalized-not-derived",
+            ),
+        ],
+    )
+    def test_plot_rejects_rows_that_contradict_the_others(self, tmp_path, capsys, clean_env, name, rows):
+        (tmp_path / name).write_text("".join(r + "\n" for r in rows))
+        assert run(["plot", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 3" in err
+        assert "Traceback" not in err
         assert not (tmp_path / name).with_suffix(".svg").exists()
 
 

@@ -58,10 +58,20 @@ class TestPriceSeries:
         with pytest.raises(ValidationError):
             PriceSeries.from_prices(datetime(2018, 1, 1, tzinfo=offset), [1.0, 2.0])
 
-    def test_rejects_hour_gap(self):
-        hours = [START, START + HOUR, START + 3 * HOUR]
-        with pytest.raises(ValidationError, match="exactly 1h"):
-            PriceSeries(hours, [1.0, 2.0, 3.0])
+    def test_hours_are_derived_from_the_start(self):
+        s = PriceSeries(START, [3.0, 1.0, 5.0])
+        assert s.start == START
+        assert s.hours == (START, START + HOUR, START + 2 * HOUR)
+        assert PriceSeries.from_prices(START, [3.0, 1.0, 5.0]) == s
+        assert s != PriceSeries(START + HOUR, [3.0, 1.0, 5.0])
+        assert repr(s) == "PriceSeries(3 hours, 2018-01-01T00:00:00+00:00 .. 2018-01-01T02:00:00+00:00)"
+
+    def test_rejects_hours_past_year_9999(self):
+        last = datetime(9999, 12, 31, 23, tzinfo=timezone.utc)
+        assert PriceSeries(last - HOUR, [1.0, 2.0]).hours[-1] == last
+        with pytest.raises(ValidationError, match="past year 9999") as info:
+            PriceSeries(last, [1.0, 2.0, 3.0])
+        assert info.value.position == 2
 
     def test_rejects_short_series(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,7 @@
 """Training curves, best-checkpoint selection, cross-year tests, outputs."""
 
 import xml.etree.ElementTree as ET
-from datetime import date, datetime, timedelta, timezone
+from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
@@ -58,8 +58,7 @@ FAST_HYPER = Hyperparams(
 
 
 def series_for_year(year: int, prices) -> PriceSeries:
-    start = datetime(year, 1, 1, tzinfo=UTC)
-    return PriceSeries([start + i * timedelta(hours=1) for i in range(len(prices))], prices)
+    return PriceSeries(datetime(year, 1, 1, tzinfo=UTC), prices)
 
 
 def wave_series(year: int = 2021, days: int = 6) -> PriceSeries:
@@ -278,8 +277,6 @@ class TestCrossTest:
         matrix = CrossTestMatrix(
             years=(2016, 2017),
             raw=np.array([[100.0, 94.0], [80.0, 100.0]]),
-            normalized=np.array([[1.0, 0.94], [0.8, 1.0]]),
-            suppressed_years=(),
         )
         means = matrix.off_diagonal_means()
         assert means[2016] == 0.94
@@ -324,12 +321,11 @@ class TestDailyPolicy:
             daily_policy_trace(ckpt, wave_series(days=3), BatteryConfig(4.0, 2.0, 6), date(2021, 1, 2))
 
     def test_trace_validation(self):
-        hours = tuple(datetime(2021, 1, 1, tzinfo=UTC) + i * timedelta(hours=1) for i in range(23))
+        start = datetime(2021, 1, 1, tzinfo=UTC)
         with pytest.raises(ValidationError, match="24"):
-            DailyPolicyTrace(hours, (1.0,) * 23, (Action.IDLE,) * 23, (0.0,) * 23)
-        hours = hours + (datetime(2021, 1, 1, 23, tzinfo=UTC),)
+            DailyPolicyTrace(start, (1.0,) * 23, (Action.IDLE,) * 23, (0.0,) * 23)
         with pytest.raises(ValidationError, match="length"):
-            DailyPolicyTrace(hours, (1.0,) * 24, (Action.IDLE,) * 23, (0.0,) * 24)
+            DailyPolicyTrace(start, (1.0,) * 24, (Action.IDLE,) * 23, (0.0,) * 24)
 
 
 CURVES_HEAD = "year,step,greedy_return_cents"
@@ -369,8 +365,6 @@ class TestCsvRoundTrips:
         matrix = CrossTestMatrix(
             years=(2016, 2017),
             raw=np.array([[100.0, -3.0], [80.0, -1.0]]),
-            normalized=np.array([[1.0, np.nan], [0.8, np.nan]]),
-            suppressed_years=(2017,),
         )
         path = tmp_path / "ct.csv"
         write_cross_test_csv(matrix, path)
@@ -404,6 +398,14 @@ class TestCsvRoundTrips:
             pytest.param(read_cross_test_csv, csv_text(*GRID, "2016,2017,6.0,0.6"), "row 6: agent 2016 on 2017", id="cross-repeated-cell"),
             pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 7, "2021-01-01T05:00:00Z,nan,idle,0.0")), "row 7", id="daily-price-nan"),
             pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 9, "2021-01-01T07:00:00Z,2.0,idle,inf")), "row 9", id="daily-charge-inf"),
+            # hours come from the first stamp on: each row must be one hour after the last
+            pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 5, "2021-01-01T05:00:00Z,2.0,idle,0.0")), "row 5: 2021-01-01T05:00:00Z is not one hour after", id="daily-hour-gap"),
+            pytest.param(read_daily_policy_csv, csv_text(*with_row(DAY, 2, "2021-01-01T01:00:00Z,2.0,idle,0.0")), "row 3: 2021-01-01T01:00:00Z is not one hour after", id="daily-repeated-hour"),
+            # normalized cells are derived from the raw returns; one that disagrees is cited
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 3, "2016,2017,5.0,7.5")), "row 3: normalized 7.5 is not the derived 0.5", id="cross-normalized-not-raw-over-diagonal"),
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 2, "2016,2016,10.0,")), "row 2: normalized nan is not the derived 1.0", id="cross-normalized-missing"),
+            # a column whose same-year return is not positive is suppressed: its cells are empty
+            pytest.param(read_cross_test_csv, csv_text(*with_row(GRID, 5, "2017,2017,-10.0,1.0")), "row 3: normalized 0.5 is not the derived nan", id="cross-normalized-in-suppressed-column"),
         ],
     )
     def test_rows_no_writer_writes_are_rejected(self, tmp_path, reader, text, cited):
@@ -428,6 +430,15 @@ class TestCsvRoundTrips:
         path = tmp_path / "daily.csv"
         write_daily_policy_csv(trace, path)
         assert read_daily_policy_csv(path) == trace
+
+    def test_daily_policy_of_shuffled_hours_from_two_days_rejected(self, tmp_path):
+        stamps = [f"2021-01-01T{h:02d}:00:00Z" for h in range(12, 24)]
+        stamps += [f"2021-01-02T{h:02d}:00:00Z" for h in range(12)]
+        np.random.default_rng(3).shuffle(stamps)
+        path = tmp_path / "daily.csv"
+        path.write_text(csv_text(DAY[0], *(f"{s},2.0,idle,0.0" for s in stamps)))
+        with pytest.raises(ValidationError, match="row 3: .* is not one hour after"):
+            read_daily_policy_csv(path)
 
     def test_daily_policy_unknown_action_cited(self, tmp_path):
         path = tmp_path / "daily.csv"
@@ -454,8 +465,6 @@ class TestEmitOutputs:
         matrix = CrossTestMatrix(
             years=(2021, 2022),
             raw=np.array([[30.0, 11.0], [25.0, 12.0]]),
-            normalized=np.array([[1.0, 11 / 12], [25 / 30, 1.0]]),
-            suppressed_years=(),
         )
         series = wave_series(days=3)
         ckpt = constant_policy_checkpoint(2021, Action.CHARGE, SMALL_CONFIG)
@@ -509,8 +518,6 @@ class TestEmitOutputs:
         matrix = CrossTestMatrix(
             years=(2021, 2022),
             raw=np.array([[30.0, -1.0], [25.0, -2.0]]),
-            normalized=np.array([[1.0, np.nan], [25 / 30, np.nan]]),
-            suppressed_years=(2022,),
         )
         emit_outputs(curves, matrix, tmp_path)
         svg = (tmp_path / "cross_test.svg").read_text()

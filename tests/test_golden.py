@@ -10,7 +10,7 @@ of these, since every parameter and moment bit counts; the curve values
 """
 
 import hashlib
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -62,7 +62,7 @@ def test_small_wave_run_curve_and_checkpoint_bytes(tmp_path):
     # bytes cover trained parameters and nonzero moments
     start = datetime(2021, 1, 1, tzinfo=timezone.utc)
     prices = ([1.0] * 12 + [5.0] * 12) * 6
-    series = PriceSeries([start + i * timedelta(hours=1) for i in range(len(prices))], prices)
+    series = PriceSeries(start, prices)
     hyper = Hyperparams(
         learning_rate=1e-3,
         batch_size=8,

@@ -4,7 +4,9 @@
 actions from batched forwards over every (hour, charge level) and walks it.
 The reference below is the plain loop it replaced (reset, then step with the
 single-observation ``forward`` and ``select_action``); the two must agree
-exactly, return and every action and charge.
+exactly, return and every action and charge. The Q-values behind those
+actions agree to a few ulps, not bit for bit: a row inside a batched matmul
+rounds differently from the same row alone.
 """
 
 import numpy as np

@@ -307,8 +307,7 @@ class TestAggregateHourly:
 
 class TestCsvCache:
     def make_series(self, prices, start=T0):
-        hours = [start + i * timedelta(hours=1) for i in range(len(prices))]
-        return PriceSeries(hours, prices)
+        return PriceSeries(start, prices)
 
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(5)
