@@ -11,8 +11,10 @@ file, then built-in default. Settings are the leaf fields of
 :class:`RunConfig` (``BatteryConfig``, ``Hyperparams`` and the run fields);
 a field's config key is its name and its flag is ``--field-name``, with the
 exploration schedule's fields keyed ``epsilon_<name>``. The config file is
-flat ``key = value`` text; ``#`` starts a comment. Exit codes: 0 success,
-1 runtime or data error, 2 usage error.
+flat ``key = value`` text; a line whose first non-blank character is
+``#`` or ``;`` is a comment, but a note after a value is part of the value
+(``rate_kw = 5  # note`` is a bad value). Exit codes: 0 success, 1 runtime
+or data error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -360,16 +362,15 @@ def _cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> int:
     d = Path(args.in_dir)
     if not d.is_dir():
         raise ConfigError(f"--in directory does not exist: {d}")
-    made = [
-        render(read(d / name), (d / name).with_suffix(".svg"))
-        for name, _, read, render in RESULTS
-        if (d / name).exists()
+    # read every CSV before rendering any, so a bad one leaves no new chart
+    results = [
+        (read(d / name), render, d / name) for name, _, read, render in RESULTS if (d / name).exists()
     ]
-    if not made:
+    if not results:
         names = ", ".join(name for name, *_ in RESULTS)
         raise ConfigError(f"no result CSVs found in {d} (looked for {names})")
-    for path in made:
-        print(f"wrote {path}")
+    for result, render, csv in results:
+        print(f"wrote {render(result, csv.with_suffix('.svg'))}")
     return 0
 
 

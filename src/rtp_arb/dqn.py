@@ -107,12 +107,9 @@ class ReplayBuffer:
     An entry is a state (hour index, charge), the action, the reward, the
     charge after the action and the episode-end flag; the next state is
     (hour + 1, charge after). Sampling rebuilds network inputs from
-    ``windows`` and ``charge_scale``. ``windows`` is the pair-window matrix
+    ``windows``, the pair-window matrix
     :meth:`ObservationNormalizer.price_windows` ``(prices, L + 1)`` of the
-    series, for an L-hour observation window: its row ``n + 1`` is hour
-    ``n``'s window followed by the newest price of hour ``n + 1``'s, so one
-    row holds the windows of a state and of its successor. Once full, new
-    entries overwrite the oldest.
+    series, and ``charge_scale``. Once full, new entries overwrite the oldest.
     """
 
     def __init__(self, capacity: int, windows: np.ndarray, charge_scale: float):
@@ -164,7 +161,7 @@ def sample_batch(
     if len(buffer) < batch_size:
         return None
     idx = rng.integers(len(buffer), size=batch_size)
-    # one gather: a row holds the state's window, then the successor's newest price
+    # one gather serves both inputs (see ObservationNormalizer.price_windows)
     x = buffer.windows[buffer.hours[idx] + 1]
     next_x = np.empty_like(x)
     next_x[:, :-1] = x[:, 1:]

@@ -43,7 +43,6 @@ from .network import (
     forward,
     forward_batch,
     init_network,
-    input_rows,
 )
 from .ingest import TIMESTAMP_FORMAT, read_csv_rows, read_finite, read_hourly_rows
 
@@ -149,6 +148,8 @@ def greedy_rollout(
     fill a table of the greedy action at every grid point, one block of
     hours at a time, and the episode is an integer walk through each block
     of that table and the successor lists. Rewards accumulate in step order.
+    The rows come from the pair-window matrix that training reads (see
+    :meth:`ObservationNormalizer.price_windows`).
 
     A network whose input width does not fit ``config`` (a checkpoint
     evaluated with another window) is a ConfigError.
@@ -161,19 +162,18 @@ def greedy_rollout(
     if net.layer_dims[-1] != len(Action):
         raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
     levels, succ, deltas, i = charge_grid(prices, config)
-    windows = norm.price_windows(prices.prices, config.window_hours)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     n_steps, n_levels = len(prices) - 1, len(levels)
 
     # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]).
-    block_hours = np.repeat(np.arange(GREEDY_BLOCK_HOURS), n_levels)
-    block_charges = np.tile(levels, GREEDY_BLOCK_HOURS)
+    scaled_levels = np.tile(levels, GREEDY_BLOCK_HOURS) / norm.charge_scale
     total = 0.0
     actions: list[Action] = []
     charges: list[float] = []
     for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
         hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
-        rows = (hi - lo) * n_levels
-        x = input_rows(windows, block_hours[:rows] + lo, block_charges[:rows], norm.charge_scale)
+        x = np.repeat(pairs[lo + 1 : hi + 1], n_levels, axis=0)
+        x[:, -1] = scaled_levels[: len(x)]
         greedy = forward_batch(net, x).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
         for n, row in enumerate(greedy, lo):
             total += levels[i] * deltas[n]
@@ -215,7 +215,6 @@ def train_agent(
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     levels, succ, deltas, empty = charge_grid(prices, config)
-    # row n + 1 of the (L+1)-hour windows holds hour n's window, then hour n + 1's price
     pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
     explore_rng = np.random.default_rng(explore_ss)
@@ -234,8 +233,8 @@ def train_agent(
         log.info("year %d step %d greedy return %.2f cents", year, at_step, ret)
 
     evaluate(0)
-    # the input row of the current state, as input_rows builds it: kept 2-D,
-    # since a 1-D input could take another BLAS kernel and round differently
+    # the current state's input row (see ObservationNormalizer.price_windows),
+    # kept 2-D: a 1-D input could take another BLAS kernel and round differently
     row = np.empty((1, config.window_hours + 1))
     last_hour = len(prices) - 1
     n, i = 0, empty

@@ -128,9 +128,11 @@ class ObservationNormalizer:
             std = float(np.std(prices_cents))
         if not math.isfinite(mean):
             raise ValidationError("price mean is not finite: prices beyond float range")
+        if not math.isfinite(std):
+            raise ValidationError("price spread is not finite: prices beyond float range")
         # a constant series rounds to a tiny but nonzero std; dividing by it
         # would blow inputs up by ~1e15, so treat vanishing spread as unit
-        if not math.isfinite(std) or std <= 1e-12 * max(1.0, abs(mean)):
+        if std <= 1e-12 * max(1.0, abs(mean)):
             std = 1.0
         return cls(mean, std, capacity_kwh)
 
@@ -145,27 +147,18 @@ class ObservationNormalizer:
     def price_windows(self, prices: np.ndarray, window_hours: int) -> np.ndarray:
         """Read-only (M, window_hours) matrix of normalized price windows, rows
         views into one padded array: row ``n`` is the ``recent_prices`` of an
-        observation at hour ``n`` as :meth:`apply` normalizes them, bit for bit."""
+        observation at hour ``n`` as :meth:`apply` normalizes them, bit for bit.
+
+        Every network input is read from the pair-window matrix
+        ``price_windows(prices, L + 1)`` of an L-hour observation window: its
+        row ``n + 1`` is hour ``n``'s window, then hour ``n + 1``'s price. So
+        ``row[:-1]`` with the charge over ``charge_scale`` in place of
+        ``row[-1]`` is the input of state (``n``, charge), and ``row[1:]`` is
+        the window of its successor at hour ``n + 1``."""
         padded = np.concatenate([np.full(window_hours - 1, prices[0]), prices], dtype=np.float64)
         padded -= self.price_mean
         padded /= self.price_std
         return np.lib.stride_tricks.sliding_window_view(padded, window_hours)
-
-
-def input_rows(
-    windows: np.ndarray, hours: np.ndarray, charges: np.ndarray, charge_scale: float
-) -> np.ndarray:
-    """Normalized network inputs (B, L+1) for B (hour index, charge) states.
-
-    Row ``k`` is ``windows[hours[k]]`` (see :meth:`ObservationNormalizer.price_windows`),
-    then ``charges[k] / charge_scale``: the bits of ``ObservationNormalizer.apply``
-    on ``Observation.vector()``. The learner's ``sample_batch`` and the act
-    path of ``train_agent`` write the same layout in place.
-    """
-    x = np.empty((len(hours), windows.shape[1] + 1))
-    x[:, :-1] = windows[hours]
-    np.divide(charges, charge_scale, out=x[:, -1])
-    return x
 
 
 def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
@@ -186,7 +179,8 @@ def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.
     """Q-values (3,) for one raw observation.
 
     The readable specification of what the agent acts on. Training and
-    evaluation run :func:`forward_batch` on :func:`input_rows` instead: a
+    evaluation run :func:`forward_batch` on rows of
+    :meth:`ObservationNormalizer.price_windows` ``(prices, L + 1)`` instead: a
     row inside a batch of several rounds differently in the last bits, so
     their Q-values agree with these to a few ulps, while the actions and
     returns match exactly, as the reference tests check.

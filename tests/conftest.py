@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rtp_arb import BatteryConfig, PriceSeries
+from rtp_arb import BatteryConfig, PriceSeries, experiment, greedy_rollout, network
 
 START = datetime(2018, 1, 1, tzinfo=timezone.utc)
 
@@ -90,3 +90,40 @@ def square_wave_series(days: int = 365, low: float = 2.0, high: float = 6.0) -> 
     return PriceSeries.from_prices(
         datetime(2021, 1, 1, tzinfo=timezone.utc), np.tile(day, days)
     )
+
+
+#: A greedy decision closer than this to a tie could flip between a one-row
+#: and a batched forward, whose Q-values differ by a few ulps (about 1e-15).
+DECISION_MARGIN = 1e-9
+
+
+def greedy_tables(net, norm, prices, config):
+    """``greedy_rollout``'s result, plus the input rows and Q-values of its
+    batched forwards as (hour, charge level) tables."""
+    xs, qs = [], []
+
+    def recording(net, x):
+        q = network.forward_batch(net, x)
+        xs.append(x.copy())
+        qs.append(q.copy())
+        return q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiment, "forward_batch", recording)
+        got = greedy_rollout(net, norm, prices, config)
+    x, q = np.concatenate(xs), np.concatenate(qs)
+    return got, x.reshape(len(prices) - 1, -1, x.shape[1]), q.reshape(len(prices) - 1, -1, q.shape[1])
+
+
+def assert_decisive(q_one, q_batch):
+    """The greedy choice over the Q-values of one input, from a one-row
+    forward and from inside a batch, cannot flip on rounding: the top two
+    differ by at least DECISION_MARGIN in both, or the top pair is bit-equal
+    in both (a dead-ReLU tie, which the lowest code breaks alike)."""
+    top_one = np.argsort(-q_one, kind="stable")[:2]
+    top_batch = np.argsort(-q_batch, kind="stable")[:2]
+    a, b = top_one
+    if set(top_one) == set(top_batch) and q_one[a] == q_one[b] and q_batch[a] == q_batch[b]:
+        return
+    for q, (a, b) in ((q_one, top_one), (q_batch, top_batch)):
+        assert q[a] - q[b] >= DECISION_MARGIN, (q_one, q_batch)

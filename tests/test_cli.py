@@ -104,6 +104,16 @@ class TestTrainCommand:
         assert captured.err.startswith("error: price mean is not finite")
         assert "Traceback" not in captured.err
 
+    def test_overflowing_price_spread_is_an_error(self, tmp_path, capsys, clean_env):
+        # the mean is 0, but the squared deviations overflow; once the spread
+        # fell back to 1.0 and the loss overflowed with RuntimeWarnings
+        prices = write_series_csv(tmp_path / "wide.csv", [1e307, -1e307] * 24)
+        assert run(["train", "--prices", prices, "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: price spread is not finite")
+        assert "RuntimeWarning" not in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestPriceCsvErrors:
     @pytest.mark.parametrize(
@@ -625,6 +635,22 @@ class TestManifestAndPlotErrors:
         assert err.startswith("error: ") and "row 3" in err
         assert "Traceback" not in err
         assert not (tmp_path / name).with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize("existing", [None, b"<svg>an older chart</svg>\n"], ids=["no-chart", "old-chart"])
+    def test_plot_reads_every_csv_before_writing_a_chart(self, tmp_path, capsys, clean_env, existing):
+        (tmp_path / "training_curves.csv").write_text(
+            "year,step,greedy_return_cents\n2017,0,1.0\n2017,10,2.0\n"
+        )
+        (tmp_path / "cross_test.csv").write_text("agent_year,test_year,raw_return_cents,normalized\n")
+        chart = tmp_path / "training_curves.svg"
+        if existing is not None:
+            chart.write_bytes(existing)
+        assert run(["plot", "--in", str(tmp_path)]) == 1
+        assert "row 2" in capsys.readouterr().err
+        if existing is None:
+            assert not chart.exists()
+        else:
+            assert chart.read_bytes() == existing
 
 
 class TestMalformedCheckpoints:

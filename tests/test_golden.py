@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import random_walk, square_wave_series
+from conftest import assert_decisive, greedy_tables, random_walk, square_wave_series
 from rtp_arb import (
     AdamState,
     BatteryConfig,
@@ -24,6 +24,7 @@ from rtp_arb import (
     ObservationNormalizer,
     PriceSeries,
     cross_test,
+    forward_batch,
     hindsight_optimal,
     init_network,
     save_checkpoint,
@@ -54,6 +55,16 @@ def test_square_wave_checkpoint_bytes_at_seed_0(square_wave_run, tmp_path):
     assert checkpoint_sha256(ckpt, tmp_path) == (
         "ba6a95068331bc9f1012a8af1d98c913af5cdd40f171930ce77f874b03da00cb"
     )
+
+
+def test_square_wave_greedy_decisions_are_clear_at_seed_0(square_wave_run):
+    # every (hour, level) cell, not just the visited ones: a one-row forward
+    # (the bits of forward, since the rows are its inputs bit for bit) and
+    # the batched one must pick the same action with a margin to spare
+    _, ckpt = square_wave_run
+    _, x, q = greedy_tables(ckpt.net, ckpt.norm, square_wave_series(), BatteryConfig())
+    for x_row, q_row in zip(x.reshape(-1, x.shape[-1]), q.reshape(-1, q.shape[-1])):
+        assert_decisive(forward_batch(ckpt.net, x_row[None])[0], q_row)
 
 
 def test_small_wave_run_curve_and_checkpoint_bytes(tmp_path):

@@ -6,7 +6,8 @@ The reference below is the plain loop it replaced (reset, then step with the
 single-observation ``forward`` and ``select_action``); the two must agree
 exactly, return and every action and charge. The Q-values behind those
 actions agree to a few ulps, not bit for bit: a row inside a batched matmul
-rounds differently from the same row alone.
+rounds differently from the same row alone. So every decision the reference
+takes is also checked to be far from a tie.
 """
 
 import numpy as np
@@ -14,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIGS, continuous_configs, continuous_prices, make_series, random_walk
+from conftest import (
+    CONFIGS,
+    assert_decisive,
+    continuous_configs,
+    continuous_prices,
+    greedy_tables,
+    make_series,
+    random_walk,
+)
 from rtp_arb import (
     ObservationNormalizer,
     QNetwork,
@@ -25,7 +34,7 @@ from rtp_arb import (
     select_action,
     step,
 )
-from rtp_arb.env import _observation
+from rtp_arb.env import _observation, charge_grid
 from rtp_arb.experiment import GREEDY_BLOCK_HOURS
 
 
@@ -58,11 +67,16 @@ def test_matches_stepwise_rollout(config, hours, seed):
     hidden = (64, 64) if seed == 0 else (8,)
     net = init_network(config.window_hours, seed, hidden_dims=hidden)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
-    got = greedy_rollout(net, norm, prices, config)
+    got, _, q_batch = greedy_tables(net, norm, prices, config)
     want = stepwise_greedy_rollout(net, norm, prices, config)
     assert got == want
     total, actions, charges = got
     assert len(actions) == len(charges) == hours - 1
+    # the actions agree because no decision is near a tie, not by luck
+    levels, succ, _, i = charge_grid(prices, config)
+    for n, a in enumerate(actions):
+        assert_decisive(forward(net, _observation(prices, config, n, levels[i]), norm), q_batch[n, i])
+        i = succ[i][a]
 
 
 @settings(max_examples=40, deadline=None)
@@ -87,11 +101,17 @@ def test_window_rows_equal_observations(config, hours):
     prices = random_walk(hours, hours)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     windows = norm.price_windows(prices.prices, config.window_hours)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     assert windows.shape == (hours, config.window_hours)
-    assert not windows.flags.writeable
+    assert pairs.shape == (hours, config.window_hours + 1)
+    assert not windows.flags.writeable and not pairs.flags.writeable
+    want = [norm.apply(_observation(prices, config, n, 0.0).vector())[:-1] for n in range(hours)]
     for n in range(hours):
-        want = norm.apply(_observation(prices, config, n, 0.0).vector())[:-1]
-        assert windows[n].tobytes() == want.tobytes()
+        assert windows[n].tobytes() == want[n].tobytes()
+    # the pair rows the network reads: hour n's window, then hour n + 1's price
+    for n in range(hours - 1):
+        assert pairs[n + 1][:-1].tobytes() == want[n].tobytes()
+        assert pairs[n + 1][-1].tobytes() == want[n + 1][-1].tobytes()
 
 
 def test_rejects_network_without_one_output_per_action():

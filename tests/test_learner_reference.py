@@ -73,7 +73,7 @@ def reference_td_targets(target_net, rewards, next_x, dones, gamma):
     return rewards + gamma * q_next.max(axis=1) * ~np.asarray(dones, dtype=bool)
 
 
-def reference_input_rows(windows, hours, charges, charge_scale):
+def reference_rows(windows, hours, charges, charge_scale):
     x = np.empty((len(hours), windows.shape[1] + 1))
     x[:, :-1] = windows[hours]
     np.divide(charges, charge_scale, out=x[:, -1])
@@ -87,10 +87,10 @@ def reference_sample_batch(buffer, windows, batch_size, rng):
     idx = rng.integers(len(buffer), size=batch_size)
     hours = buffer.hours[idx]
     return (
-        reference_input_rows(windows, hours, buffer.charges[idx], buffer.charge_scale),
+        reference_rows(windows, hours, buffer.charges[idx], buffer.charge_scale),
         buffer.actions[idx],
         buffer.rewards[idx],
-        reference_input_rows(windows, hours + 1, buffer.next_charges[idx], buffer.charge_scale),
+        reference_rows(windows, hours + 1, buffer.next_charges[idx], buffer.charge_scale),
         buffer.dones[idx],
     )
 

@@ -2,7 +2,7 @@
 
 ``train_agent`` never steps the environment: it walks an hour index and a
 charge-level index, takes the reward as the level times the price delta and
-the Q-values from one ``input_rows`` row. The reference below is the loop it
+the Q-values from one pair-window row. The reference below is the loop it
 replaced (reset, then step with the single-observation ``forward``, pushing
 what the environment returns); the two must agree exactly: curve, every
 parameter bit and every ring entry.
