@@ -2,10 +2,12 @@
 
 The upstream feed serves 5-minute real-time prices as JSON records keyed by
 millisecond timestamps. This module fetches a UTC range in per-day chunks
-(retrying transient failures), averages each UTC hour's samples into an
-hourly series, bridges fully missing hours by linear interpolation (and says
-so in the returned report), and round-trips the result through a small,
-strict CSV cache format.
+(retrying transient failures) into :class:`FeedSamples`: two read-only
+columns, int64 microseconds since the Unix epoch and float64 prices, sorted
+and deduplicated (the last record seen for a timestamp wins). It averages
+each UTC hour's samples into an hourly series, bridges fully missing hours by
+linear interpolation (and says so in the returned report), and round-trips
+the result through a small, strict CSV cache format.
 
 The HTTP transport and the retry sleep are injectable so tests run entirely
 from recorded fixtures; nothing here touches the network unless asked to.
@@ -18,16 +20,17 @@ import logging
 import math
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, time as dtime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .atomic import write_lines
-from .env import HOUR, PriceSeries
+from .env import HOUR, PriceSeries, _require_utc
 from .errors import InsufficientDataError, ParseError, TransportError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -49,6 +52,9 @@ RETRY_ATTEMPTS = 3
 RETRY_BASE_SECONDS = 1.0
 
 FIVE_MINUTES = timedelta(minutes=5)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_HOUR_US = HOUR // _MICROSECOND
 
 
 @dataclass(frozen=True)
@@ -81,32 +87,81 @@ def _default_http_get(url: str) -> str:
         return resp.read().decode("utf-8")
 
 
-def _parse_feed_payload(body: str) -> list[FiveMinuteSample]:
+class FeedSamples(Sequence):
+    """5-minute samples as two read-only columns.
+
+    ``micros`` holds int64 microseconds since the Unix epoch, ``datetime``'s
+    own resolution, so every :class:`FiveMinuteSample` converts exactly;
+    ``prices`` holds the float64 cents/kWh. An int index gives a
+    ``FiveMinuteSample``, a slice gives a ``FeedSamples``.
+    """
+
+    __slots__ = ("micros", "prices")
+
+    def __init__(self, micros, prices):
+        micros, prices = np.array(micros, np.int64), np.array(prices, np.float64)
+        if micros.ndim != 1 or micros.shape != prices.shape:
+            raise ValueError(f"need two equal 1-d columns, got {micros.shape} and {prices.shape}")
+        micros.setflags(write=False)
+        prices.setflags(write=False)
+        object.__setattr__(self, "micros", micros)
+        object.__setattr__(self, "prices", prices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FeedSamples is immutable")
+
+    def __len__(self) -> int:
+        return len(self.micros)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FeedSamples(self.micros[i], self.prices[i])
+        return FiveMinuteSample(_EPOCH + int(self.micros[i]) * _MICROSECOND, float(self.prices[i]))
+
+
+def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (millis, prices) columns of one body's records with lo_ms <= millis < hi_ms.
+
+    Every record is checked, also those outside the range; an error names the
+    first offending record of its kind.
+    """
     try:
         records = json.loads(body)
     except json.JSONDecodeError as exc:
         raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
-    samples = []
+    millis, prices = [], []
     for rec in records:
-        if not isinstance(rec, dict) or "millisUTC" not in rec or "price" not in rec:
-            raise ParseError(f"feed record {rec!r} lacks millisUTC/price fields")
         try:
-            millis = int(rec["millisUTC"])
-        except (TypeError, ValueError) as exc:
+            m, p = rec["millisUTC"], rec["price"]
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"feed record {rec!r} lacks millisUTC/price fields") from exc
+        # int() and float() would read a JSON true as 1
+        if m.__class__ is bool or p.__class__ is bool:
+            raise ParseError(f"feed record {rec!r} has a boolean field")
+        try:
+            millis.append(int(m))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-integer millisUTC") from exc
         try:
-            price = float(rec["price"])
-        except (TypeError, ValueError) as exc:
+            prices.append(float(p))
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-numeric price") from exc
-        if not math.isfinite(price):
-            raise ParseError(f"feed record {rec!r} has a non-finite price")
-        ts = datetime.fromtimestamp(millis / 1000.0, tz=timezone.utc)
-        if ts.minute % 5 or ts.second or ts.microsecond:
-            raise ParseError(f"feed record {rec!r} is not on a 5-minute boundary")
-        samples.append(FiveMinuteSample(ts, price))
-    return samples
+    try:
+        ms = np.array(millis, np.int64)
+    except OverflowError:
+        bad = next(i for i, m in enumerate(millis) if not -(2**63) <= m < 2**63)
+        raise ParseError(f"feed record {records[bad]!r} has a millisUTC beyond 64 bits") from None
+    values = np.array(prices, np.float64)
+    for what, bad in (
+        ("has a non-finite price", ~np.isfinite(values)),
+        ("is not on a 5-minute boundary", ms % 300_000 != 0),
+    ):
+        if bad.any():
+            raise ParseError(f"feed record {records[int(np.argmax(bad))]!r} {what}")
+    keep = (lo_ms <= ms) & (ms < hi_ms)
+    return ms[keep], values[keep]
 
 
 def _feed_url(endpoint: str, chunk_start: datetime, chunk_end: datetime) -> str:
@@ -137,19 +192,24 @@ def fetch_five_minute_feed(
     endpoint: str = DEFAULT_ENDPOINT,
     http_get: Callable[[str], str] = _default_http_get,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[FiveMinuteSample]:
+) -> FeedSamples:
     """Fetch all 5-minute samples with start <= timestamp < end (UTC).
 
     The range is requested one feed-zone day at a time, each chunk retried up
     to 3 times with exponential backoff before giving up with a transport
-    error. Results are sorted ascending and deduplicated.
+    error. Each body's records are parsed into columns, checked and filtered
+    to the range as arrays; the samples come back strictly ascending, and
+    where the feed repeats a timestamp the last record seen wins.
     """
     if date_start.tzinfo is None or date_end.tzinfo is None:
         raise ValueError("date_start and date_end must be timezone-aware")
     if date_start >= date_end:
         raise ValueError(f"empty fetch range: {date_start.isoformat()} >= {date_end.isoformat()}")
 
-    collected: dict[datetime, FiveMinuteSample] = {}
+    # a record's whole-millisecond stamp is in [start, end) iff it is in
+    # [lo_ms, hi_ms), both bounds rounded up to whole milliseconds
+    lo_ms, hi_ms = (-((_EPOCH - t) // timedelta(milliseconds=1)) for t in (date_start, date_end))
+    millis, prices = [], []
     for chunk_start, chunk_end in _day_chunks(date_start, date_end):
         url = _feed_url(endpoint, chunk_start, chunk_end)
         for attempt in range(RETRY_ATTEMPTS):
@@ -166,15 +226,18 @@ def fetch_five_minute_feed(
                 delay = RETRY_BASE_SECONDS * 2**attempt
                 log.warning("fetch attempt %d failed (%s); retrying in %gs", attempt + 1, exc, delay)
                 sleep(delay)
-        for s in _parse_feed_payload(body):
-            if date_start <= s.timestamp_utc < date_end:
-                collected[s.timestamp_utc] = s
+        ms, values = _parse_feed_payload(body, lo_ms, hi_ms)
+        millis.append(ms)
+        prices.append(values)
 
-    if not collected:
+    # np.unique keeps each timestamp's first index, which in the reversed
+    # columns is the last record seen
+    ms, first = np.unique(np.concatenate(millis)[::-1], return_index=True)
+    if not len(ms):
         log.warning(
             "feed returned no samples for %s .. %s", date_start.isoformat(), date_end.isoformat()
         )
-    return [collected[ts] for ts in sorted(collected)]
+    return FeedSamples(ms * 1000, np.concatenate(prices)[::-1][first])
 
 
 def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, IngestReport]:
@@ -183,23 +246,34 @@ def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, 
     Each hour's price is the mean of its samples; hours with none are filled
     by linear interpolation between the nearest sampled hours and flagged in
     the report. First and last hours always have samples by construction.
+    A plain sequence of records is first converted to :class:`FeedSamples`.
     Samples are binned by their whole-hour offset from the first sample's
     hour; ``np.bincount`` adds each hour's prices in sample order from 0.0.
     """
-    for a, b in zip(samples, samples[1:]):
-        if a.timestamp_utc >= b.timestamp_utc:
-            raise ValueError(
-                f"samples must be strictly ascending; {a.timestamp_utc.isoformat()} "
-                f"then {b.timestamp_utc.isoformat()}"
-            )
-    if not samples:
+    if not isinstance(samples, FeedSamples):
+        if len(samples):
+            _require_utc(samples[0].timestamp_utc)
+        samples = FeedSamples(
+            [(s.timestamp_utc - _EPOCH) // _MICROSECOND for s in samples],
+            [s.price_cents_per_kwh for s in samples],
+        )
+    micros = samples.micros
+    unsorted = np.diff(micros) <= 0
+    if unsorted.any():
+        i = int(np.argmax(unsorted))
+        a, b = samples[i], samples[i + 1]
+        raise ValueError(
+            f"samples must be strictly ascending; {a.timestamp_utc.isoformat()} "
+            f"then {b.timestamp_utc.isoformat()}"
+        )
+    if not len(micros):
         raise InsufficientDataError("no samples to aggregate")
 
-    start = samples[0].timestamp_utc.replace(minute=0, second=0, microsecond=0)
-    offsets = np.fromiter(((s.timestamp_utc - start) // HOUR for s in samples), np.intp, len(samples))
-    values = np.fromiter((s.price_cents_per_kwh for s in samples), np.float64, len(samples))
+    first_hour = int(micros[0]) // _HOUR_US * _HOUR_US
+    start = _EPOCH + first_hour * _MICROSECOND
+    offsets = (micros - first_hour) // _HOUR_US
     counts = np.bincount(offsets)
-    sums = np.bincount(offsets, weights=values)
+    sums = np.bincount(offsets, weights=samples.prices)
     n_hours = len(counts)
 
     sampled = counts > 0

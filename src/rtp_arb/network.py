@@ -223,8 +223,11 @@ def td_loss_and_grads(
     rows = np.arange(batch)
     err = q[rows, action_idx] - targets
     abs_err = np.abs(err)
+    # Huber as s * (|e| - s / 2) with s = min(|e|, 1): the same bits as
+    # 0.5 * e * e below 1 and |e| - 0.5 above, and no square of a large error.
     # np.add.reduce(...) / batch is np.mean's arithmetic, without its dispatch
-    loss = float(np.add.reduce(np.where(abs_err <= 1.0, 0.5 * err * err, abs_err - 0.5)) / batch)
+    s = np.minimum(abs_err, 1.0)
+    loss = float(np.add.reduce(s * (abs_err - 0.5 * s)) / batch)
 
     # d loss / d q_taken, spread onto the taken-action outputs only.
     clipped = np.maximum(err, -1.0, out=err)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import json
 import struct
 from datetime import datetime, timedelta, timezone
@@ -19,6 +20,7 @@ from rtp_arb import (
     PriceSeries,
     QNetwork,
     ValidationError,
+    fetch_five_minute_feed,
     init_network,
     save_checkpoint,
     write_price_csv,
@@ -113,6 +115,14 @@ class TestTrainCommand:
         assert captured.err.startswith("error: price spread is not finite")
         assert "RuntimeWarning" not in captured.err
         assert "Traceback" not in captured.err
+
+    def test_huge_prices_train_without_warnings(self, tmp_path, capsys, clean_env):
+        # once the Huber loss squared every TD error, also those it discarded,
+        # and overflowed with a RuntimeWarning
+        prices = write_series_csv(tmp_path / "huge.csv", [1e153, -1e153] * 24)
+        flags = ["--steps", "300", "--eval-every", "100", "--learning-starts", "32", "--update-every", "1"]
+        assert run(["train", "--prices", prices, "--out-dir", str(tmp_path / "out"), *flags]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestPriceCsvErrors:
@@ -426,6 +436,17 @@ class TestFetchCommand:
         series = read_price_csv(out_path)
         assert len(series) == 48
         assert series.prices[3] == 3.0
+
+    @pytest.mark.parametrize("millis", ["253402300800000", "-99999999999999", "99999999999999999999"])
+    def test_feed_stamp_out_of_range_is_an_error(self, millis, tmp_path, capsys, clean_env, monkeypatch):
+        # the real fetch, on a transport that answers every day with one record
+        body = json.dumps([{"millisUTC": millis, "price": "3.0"}])
+        feed = functools.partial(fetch_five_minute_feed, http_get=lambda url: body)
+        monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", feed)
+        assert run(["fetch", "--year", "2019", "--data-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "comed_2019.csv").exists()
 
 
 class TestWorkflow:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rtp_arb import (
+    FeedSamples,
     FiveMinuteSample,
     InsufficientDataError,
     ParseError,
@@ -88,6 +89,100 @@ class TestFeedParsing:
             fetch_five_minute_feed(
                 T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep
             )
+
+    @pytest.mark.parametrize(
+        "millis, error",
+        [
+            ("253402300800000", None),  # 10000-01-01: past datetime, on the grid, dropped
+            ("-99999999900000", None),  # year -1199, on the grid, dropped
+            ("-99999999999999", "5-minute"),
+            ("99999999999999999999", "beyond 64 bits"),
+        ],
+    )
+    def test_millis_out_of_datetime_range(self, millis, error):
+        # once a ValueError or OSError from datetime.fromtimestamp
+        records = json.loads(wire(five_minute_grid(T0, [1.0, 2.0])))
+        body = json.dumps(records + [{"millisUTC": millis, "price": "3.0"}])
+        end = T0 + timedelta(hours=1)
+        if error is None:
+            samples = fetch_five_minute_feed(T0, end, http_get=lambda url: body, sleep=no_sleep)
+            assert samples.prices.tolist() == [1.0, 2.0]
+        else:
+            with pytest.raises(ParseError, match=f"{millis}.*{error}"):
+                fetch_five_minute_feed(T0, end, http_get=lambda url: body, sleep=no_sleep)
+
+    @pytest.mark.parametrize(
+        "record, error",
+        [
+            ({"millisUTC": "1527811200000", "price": True}, "boolean"),
+            ({"millisUTC": "1527811200000", "price": False}, "boolean"),
+            ({"millisUTC": True, "price": "1.0"}, "boolean"),
+            ({"millisUTC": float("inf"), "price": "1.0"}, "non-integer"),
+            ({"millisUTC": "1527811200000", "price": 10**400}, "non-numeric"),
+            ({"millisUTC": "1527811200000", "price": float("inf")}, "non-finite"),
+        ],
+    )
+    def test_non_numbers_are_errors(self, record, error):
+        body = json.dumps([record])
+        with pytest.raises(ParseError, match=f"feed record .* {error}"):
+            fetch_five_minute_feed(
+                T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep
+            )
+
+
+class TestFeedSamples:
+    def fetch(self):
+        body = wire(five_minute_grid(T0, [float(i) for i in range(24)]))
+        return fetch_five_minute_feed(
+            T0, T0 + timedelta(hours=2), http_get=lambda url: body, sleep=no_sleep
+        )
+
+    def test_columns_are_read_only_int64_micros_and_float64_prices(self):
+        samples = self.fetch()
+        assert samples.micros.dtype == np.int64 and samples.prices.dtype == np.float64
+        assert samples.micros[0] == int(T0.timestamp()) * 1_000_000
+        assert np.all(np.diff(samples.micros) == 300_000_000)
+        with pytest.raises(ValueError):
+            samples.prices[0] = 9.0
+        with pytest.raises(AttributeError):
+            samples.prices = np.zeros(24)
+
+    def test_index_gives_a_record_and_slice_a_container(self):
+        samples = self.fetch()
+        assert samples[0] == FiveMinuteSample(T0, 0.0)
+        assert samples[-1] == FiveMinuteSample(T0 + timedelta(minutes=115), 23.0)
+        assert samples[0].timestamp_utc.tzinfo is timezone.utc
+        tail = samples[22:]
+        assert isinstance(tail, FeedSamples) and len(tail) == 2
+        assert list(tail) == [samples[22], samples[23]]
+        with pytest.raises(IndexError):
+            samples[24]
+
+    def test_microseconds_convert_exactly(self):
+        epoch = datetime(1970, 1, 1, tzinfo=UTC)
+        stamps = [
+            datetime(1, 1, 1, tzinfo=UTC),
+            T0 + timedelta(microseconds=1),
+            datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC),
+        ]
+        samples = FeedSamples([(ts - epoch) // timedelta(microseconds=1) for ts in stamps], [0.0] * 3)
+        assert [s.timestamp_utc for s in samples] == stamps
+
+    def test_records_and_columns_aggregate_alike(self):
+        samples = self.fetch()
+        series, report = aggregate_hourly(samples)
+        assert list(series.prices) == [5.5, 17.5]
+        assert (series, report) == aggregate_hourly(list(samples))
+
+    @pytest.mark.parametrize("tz", [None, FEED_TIMEZONE])
+    def test_records_must_start_in_utc(self, tz):
+        records = [FiveMinuteSample(ts.replace(tzinfo=tz), 1.0) for ts, _ in five_minute_grid(T0, [0] * 24)]
+        with pytest.raises(ValidationError, match="not UTC"):
+            aggregate_hourly(records)
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(ValueError, match="equal"):
+            FeedSamples([0, 1], [1.0])
 
 
 class TestFetchRange:
