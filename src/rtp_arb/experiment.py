@@ -44,7 +44,7 @@ from .network import (
     forward_batch,
     init_network,
 )
-from .ingest import TIMESTAMP_FORMAT, read_csv_rows, read_finite, read_hourly_rows
+from .ingest import hour_stamps, read_csv_rows, read_finite, read_hourly_rows
 
 log = logging.getLogger(__name__)
 
@@ -479,27 +479,25 @@ def read_cross_test_csv(path) -> CrossTestMatrix:
 
 
 def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
-    lines = [DAILY_POLICY_HEADER]
-    for ts, price, action, charge in zip(
-        trace.hours, trace.prices, trace.actions, trace.charge_after
-    ):
-        lines.append(f"{ts.strftime(TIMESTAMP_FORMAT)},{price!r},{action},{charge!r}")
-    write_lines(path, lines)
+    rows = zip(
+        hour_stamps(trace.start, len(trace.prices)),
+        map(repr, trace.prices),
+        map(str, trace.actions),
+        map(repr, trace.charge_after),
+    )
+    write_lines(path, [DAILY_POLICY_HEADER, *map(",".join, rows)])
+
+
+def _action(text: str) -> Action:
+    try:
+        return Action[text.upper()]
+    except KeyError:
+        raise ValueError(f"unknown action {text!r}") from None
 
 
 def read_daily_policy_csv(path) -> DailyPolicyTrace:
-    start = None
-    prices = []
-    actions = []
-    charges = []
-    for row_no, start, (price_s, action_s, charge_s) in read_hourly_rows(path, DAILY_POLICY_HEADER, 4):
-        try:
-            actions.append(Action[action_s.upper()])
-        except KeyError as exc:
-            raise ValidationError(f"{path}: row {row_no}: unknown action {action_s!r}") from exc
-        prices.append(read_finite(path, row_no, price_s))
-        charges.append(read_finite(path, row_no, charge_s))
-    return DailyPolicyTrace(start, tuple(prices), tuple(actions), tuple(charges))
+    start, (prices, actions, charges) = read_hourly_rows(path, DAILY_POLICY_HEADER, (float, _action, float))
+    return DailyPolicyTrace(start, tuple(prices.tolist()), tuple(actions), tuple(charges.tolist()))
 
 
 def render_daily_policy_svg(trace: DailyPolicyTrace, path) -> Path:

@@ -431,6 +431,24 @@ class TestCsvRoundTrips:
         write_daily_policy_csv(trace, path)
         assert read_daily_policy_csv(path) == trace
 
+    @pytest.mark.parametrize(
+        "start, first_stamp",
+        [
+            (datetime(1, 1, 1, tzinfo=UTC), "0001-01-01T00:00:00Z"),
+            (datetime(999, 12, 31, tzinfo=UTC), "0999-12-31T00:00:00Z"),
+            (datetime(9999, 12, 31, tzinfo=UTC), "9999-12-31T00:00:00Z"),  # ends on 9999-12-31T23:00Z
+        ],
+        ids=["year-1", "year-999", "ends-9999-12-31T23"],
+    )
+    def test_daily_policy_round_trip_at_the_ends_of_the_calendar(self, tmp_path, start, first_stamp):
+        actions = tuple(Action(i % 3) for i in range(24))
+        trace = DailyPolicyTrace(start, tuple(i / 8 for i in range(24)), actions, tuple(i / 4 for i in range(24)))
+        path = tmp_path / "daily.csv"
+        write_daily_policy_csv(trace, path)
+        rows = path.read_text().splitlines()
+        assert rows[1].startswith(first_stamp + ",")
+        assert read_daily_policy_csv(path) == trace
+
     def test_daily_policy_of_shuffled_hours_from_two_days_rejected(self, tmp_path):
         stamps = [f"2021-01-01T{h:02d}:00:00Z" for h in range(12, 24)]
         stamps += [f"2021-01-02T{h:02d}:00:00Z" for h in range(12)]

@@ -120,6 +120,8 @@ class TestFeedParsing:
             ({"millisUTC": float("inf"), "price": "1.0"}, "non-integer"),
             ({"millisUTC": "1527811200000", "price": 10**400}, "non-numeric"),
             ({"millisUTC": "1527811200000", "price": float("inf")}, "non-finite"),
+            # int() would truncate it to the on-grid 1527811200000
+            ({"millisUTC": 1527811200000.7, "price": "1.0"}, "non-integer"),
         ],
     )
     def test_non_numbers_are_errors(self, record, error):
@@ -128,6 +130,11 @@ class TestFeedParsing:
             fetch_five_minute_feed(
                 T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep
             )
+
+    def test_whole_float_millis_is_a_stamp(self):
+        body = json.dumps([{"millisUTC": 1527811200000.0, "price": "1.5"}])
+        samples = fetch_five_minute_feed(T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep)
+        assert samples.micros.tolist() == [1527811200000 * 1000]
 
 
 class TestFeedSamples:
@@ -429,6 +436,23 @@ class TestCsvCache:
         series = self.make_series([float(i) for i in range(8)], start=start)
         path = tmp_path / "dst.csv"
         write_price_csv(series, path)
+        assert read_price_csv(path) == series
+
+    @pytest.mark.parametrize(
+        "start, stamps",
+        [
+            (datetime(1, 1, 1, tzinfo=UTC), ("0001-01-01T00:00:00Z", "0001-01-01T02:00:00Z")),
+            (datetime(999, 12, 31, 22, tzinfo=UTC), ("0999-12-31T22:00:00Z", "1000-01-01T00:00:00Z")),
+            (datetime(9999, 12, 31, 21, tzinfo=UTC), ("9999-12-31T21:00:00Z", "9999-12-31T23:00:00Z")),
+        ],
+        ids=["year-1", "year-999", "ends-9999-12-31T23"],
+    )
+    def test_round_trip_at_the_ends_of_the_calendar(self, tmp_path, start, stamps):
+        series = self.make_series([1.5, -2.0, 3.25], start=start)
+        path = tmp_path / "cache.csv"
+        write_price_csv(series, path)
+        rows = path.read_text().splitlines()
+        assert (rows[1][:20], rows[-1][:20]) == stamps
         assert read_price_csv(path) == series
 
     def test_missing_file_names_path(self, tmp_path):
