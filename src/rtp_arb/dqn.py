@@ -316,6 +316,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"checkpoint {path} has {extra} trailing bytes")
     # read-only rows of the file; QNetwork and AdamState copy them in
     flat, m, v = np.frombuffer(blob, dtype="<f8", offset=off).reshape(3, n)
+    # a NaN or inf parameter makes every Q-value of its unit meaningless; the
+    # moments are not checked: a long run can save v = inf (g * g overflows)
+    if not np.isfinite(flat).all():
+        raise CheckpointError(f"checkpoint {path} has a non-finite parameter")
 
     net = QNetwork([np.zeros(pair) for pair in pairs], [np.zeros(fan_out) for _, fan_out in pairs])
     net.flat[:] = flat

@@ -253,6 +253,11 @@ def step(
     return EnvState(nxt, new_charge), obs, r, nxt == last
 
 
+#: More reachable charge levels than this is a ConfigError: every walk of
+#: the grid visits each level every hour.
+MAX_CHARGE_LEVELS = 10_000
+
+
 def reachable_charges(config: BatteryConfig) -> set[float]:
     """All charge levels an episode starting empty can ever occupy.
 
@@ -272,8 +277,11 @@ def reachable_charges(config: BatteryConfig) -> set[float]:
                     new.add(nxt)
         states |= new
         frontier = new
-        if len(states) > 10_000:  # cannot happen for sane configs
-            raise RuntimeError("reachable-charge closure failed to converge")
+        if len(states) > MAX_CHARGE_LEVELS:
+            raise ConfigError(
+                f"a {config.capacity_kwh:g} kWh battery at {config.rate_kw:g} kW has more than "
+                f"{MAX_CHARGE_LEVELS:,} charge levels"
+            )
     return states
 
 

@@ -38,13 +38,14 @@ from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid,
 from .errors import ConfigError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
+    BlockForward,
     ObservationNormalizer,
     QNetwork,
     forward,
     forward_batch,
     init_network,
 )
-from .ingest import hour_stamps, read_csv_rows, read_finite, read_hourly_rows
+from .ingest import hour_stamps, number_text, read_csv_rows, read_finite, read_hourly_rows
 
 log = logging.getLogger(__name__)
 
@@ -60,9 +61,8 @@ DEFAULT_EVAL_EVERY = 10_000
 
 #: Hours per batched forward in greedy evaluation (times the charge levels:
 #: 192 rows for the default battery). Blocks bound the working set whatever
-#: the series length. Larger blocks measured slower: from 96 hours up, the
-#: allocator handed each block's layer outputs (300-400 KiB each) back to
-#: the OS and faulted them in again, some 11k page faults per year.
+#: the series length, and on the rollout's preallocated workspace 32 hours
+#: measured fastest: a year of rollouts took longer in 64- and 96-hour blocks.
 GREEDY_BLOCK_HOURS = 32
 
 @dataclass(frozen=True)
@@ -149,10 +149,15 @@ def greedy_rollout(
     hours at a time, and the episode is an integer walk through each block
     of that table and the successor lists. Rewards accumulate in step order.
     The rows come from the pair-window matrix that training reads (see
-    :meth:`ObservationNormalizer.price_windows`).
+    :meth:`ObservationNormalizer.price_windows`). The blocks run on one
+    :class:`rtp_arb.network.BlockForward` per call, with the Q-value bits of
+    :func:`rtp_arb.network.forward_batch` on the same rows: its tiled biases
+    are copies, valid because the network does not change during a rollout.
 
     A network whose input width does not fit ``config`` (a checkpoint
-    evaluated with another window) is a ConfigError.
+    evaluated with another window) is a ConfigError; a normalized input or a
+    Q-value past the float range (parameters or prices far out of scale) is a
+    ValidationError.
     """
     if net.input_dim != config.window_hours + 1:
         raise ConfigError(
@@ -162,26 +167,33 @@ def greedy_rollout(
     if net.layer_dims[-1] != len(Action):
         raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
     levels, succ, deltas, i = charge_grid(prices, config)
-    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
     n_steps, n_levels = len(prices) - 1, len(levels)
-
-    # Rows are hour-major: block row h * n_levels + i is (hour lo + h, levels[i]).
-    scaled_levels = np.tile(levels, GREEDY_BLOCK_HOURS) / norm.charge_scale
     total = 0.0
-    actions: list[Action] = []
-    charges: list[float] = []
-    for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
-        hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
-        x = np.repeat(pairs[lo + 1 : hi + 1], n_levels, axis=0)
-        x[:, -1] = scaled_levels[: len(x)]
-        greedy = forward_batch(net, x).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
-        for n, row in enumerate(greedy, lo):
-            total += levels[i] * deltas[n]
-            a = row[i]
-            i = succ[i][a]
-            actions.append(ACTIONS[a])
-            charges.append(levels[i])
-    return total, actions, charges
+    codes: list[int] = []
+    path: list[int] = []
+    try:
+        # an input or Q-value past the float range has no greedy action
+        with np.errstate(over="raise", invalid="raise"):
+            pairs = norm.price_windows(prices.prices, config.window_hours + 1)
+            # Block row h * n_levels + j is (hour lo + h, levels[j]): the charge
+            # column is the same in every block, the price columns are pair rows.
+            block_hours = min(GREEDY_BLOCK_HOURS, n_steps)
+            fwd = BlockForward(net, block_hours * n_levels)
+            fwd.x[:, -1] = np.tile(levels, block_hours) / norm.charge_scale
+            windows = fwd.x.reshape(block_hours, n_levels, -1)[:, :, :-1]
+            for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
+                hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
+                windows[: hi - lo] = pairs[lo + 1 : hi + 1, None, :-1]
+                greedy = fwd((hi - lo) * n_levels).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
+                for n, row in enumerate(greedy, lo):
+                    total += levels[i] * deltas[n]
+                    a = row[i]
+                    i = succ[i][a]
+                    codes.append(a)
+                    path.append(i)
+    except FloatingPointError as exc:
+        raise ValidationError(f"greedy evaluation left the float range: {exc}") from None
+    return total, list(map(ACTIONS.__getitem__, codes)), list(map(levels.__getitem__, path))
 
 
 def train_agent(
@@ -424,7 +436,7 @@ def read_training_curves_csv(path) -> list[TrainingCurve]:
     by_year: dict[int, list[tuple[int, int, float]]] = {}
     for row_no, (year_s, step_s, ret_s) in rows:
         try:
-            year, step = int(year_s), int(step_s)
+            year, step = int(number_text(year_s)), int(number_text(step_s))
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
         by_year.setdefault(year, []).append((row_no, step, read_finite(path, row_no, ret_s)))
@@ -456,7 +468,7 @@ def read_cross_test_csv(path) -> CrossTestMatrix:
     cells: dict[tuple[int, int], tuple[int, float, float]] = {}
     for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
         try:
-            key = (int(agent_s), int(test_s))
+            key = (int(number_text(agent_s)), int(number_text(test_s)))
         except ValueError as exc:
             raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
         if key in cells:
@@ -488,9 +500,13 @@ def write_daily_policy_csv(trace: DailyPolicyTrace, path) -> None:
     write_lines(path, [DAILY_POLICY_HEADER, *map(",".join, rows)])
 
 
+#: The actions by the name the daily-policy writer writes (``str(action)``).
+_ACTIONS_BY_NAME = {str(a): a for a in ACTIONS}
+
+
 def _action(text: str) -> Action:
     try:
-        return Action[text.upper()]
+        return _ACTIONS_BY_NAME[text]
     except KeyError:
         raise ValueError(f"unknown action {text!r}") from None
 

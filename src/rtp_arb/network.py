@@ -175,6 +175,42 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
     return h
 
 
+class BlockForward:
+    """:func:`forward_batch` over blocks of at most ``rows`` rows, on buffers
+    allocated once.
+
+    Fill the first ``n`` rows of the input block ``x`` and call ``self(n)``
+    for their Q-values, the bits :func:`forward_batch` gives on those rows:
+    each layer is the same gemm, written into its output buffer, then the
+    same elementwise add and ReLU, against biases tiled to ``rows`` rows and
+    a zero block in place of numpy's broadcasting. The result is a view into
+    the workspace, overwritten by the next call.
+
+    The tiled biases are copies: they are valid only while ``net`` is
+    unchanged, as it is within one greedy rollout, and not across training
+    updates.
+    """
+
+    def __init__(self, net: QNetwork, rows: int):
+        self.x = np.empty((rows, net.input_dim))
+        zeros = np.zeros((rows, max(net.layer_dims[1:-1], default=0)))
+        # per layer: weights, tiled biases, output buffer, zero block (None: no ReLU)
+        self.layers = [
+            (w, np.tile(b, (rows, 1)), np.empty((rows, w.shape[1])), zeros[:, : w.shape[1]])
+            for w, b in zip(net.weights, net.biases)
+        ]
+        self.layers[-1] = (*self.layers[-1][:3], None)
+
+    def __call__(self, n: int) -> np.ndarray:
+        h = self.x[:n]
+        for w, b, out, zero in self.layers:
+            h = np.matmul(h, w, out=out[:n])
+            h += b[:n]
+            if zero is not None:
+                np.maximum(h, zero[:n], out=h)
+        return h
+
+
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
     """Q-values (3,) for one raw observation.
 

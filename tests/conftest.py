@@ -8,7 +8,9 @@ clamped +/- arithmetic with zero rounding, which lets the exact assertions
 stay exact.
 """
 
+import ctypes
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,21 +99,28 @@ def square_wave_series(days: int = 365, low: float = 2.0, high: float = 6.0) -> 
 DECISION_MARGIN = 1e-9
 
 
-def greedy_tables(net, norm, prices, config):
-    """``greedy_rollout``'s result, plus the input rows and Q-values of its
-    batched forwards as (hour, charge level) tables."""
-    xs, qs = [], []
+def greedy_blocks(net, norm, prices, config):
+    """``greedy_rollout``'s result, plus the input rows and Q-values of each of
+    its block forwards, in order, as a list of (x, q) pairs."""
+    blocks = []
 
-    def recording(net, x):
-        q = network.forward_batch(net, x)
-        xs.append(x.copy())
-        qs.append(q.copy())
-        return q
+    class Recording(network.BlockForward):
+        def __call__(self, n):
+            q = super().__call__(n)
+            blocks.append((self.x[:n].copy(), q.copy()))
+            return q
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiment, "forward_batch", recording)
+        mp.setattr(experiment, "BlockForward", Recording)
         got = greedy_rollout(net, norm, prices, config)
-    x, q = np.concatenate(xs), np.concatenate(qs)
+    return got, blocks
+
+
+def greedy_tables(net, norm, prices, config):
+    """``greedy_rollout``'s result, plus the input rows and Q-values of its
+    block forwards as (hour, charge level) tables."""
+    got, blocks = greedy_blocks(net, norm, prices, config)
+    x, q = (np.concatenate(col) for col in zip(*blocks))
     return got, x.reshape(len(prices) - 1, -1, x.shape[1]), q.reshape(len(prices) - 1, -1, q.shape[1])
 
 
@@ -127,3 +136,27 @@ def assert_decisive(q_one, q_batch):
         return
     for q, (a, b) in ((q_one, top_one), (q_batch, top_batch)):
         assert q[a] - q[b] >= DECISION_MARGIN, (q_one, q_batch)
+
+
+def blas_core() -> str:
+    """The name of the kernel (``SkylakeX``, ``Haswell``, ...) that numpy's
+    bundled OpenBLAS chose for this CPU, or what ``OPENBLAS_CORETYPE`` forced.
+
+    Its matrix products, and so the pinned checkpoint bytes, round by the
+    kernel. A numpy without a bundled OpenBLAS gives ``"unknown"``."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        dll = ctypes.CDLL(str(lib))
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            get = getattr(dll, name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return "unknown"
+
+
+def pinned_for_blas_core(values: dict):
+    """The value recorded for this machine's BLAS kernel; fails naming an unrecorded kernel."""
+    core = blas_core()
+    assert core in values, f"nothing recorded for the BLAS kernel {core!r}: record it and pin it beside {sorted(values)}"
+    return values[core]

@@ -96,6 +96,14 @@ class TestOracleCommand:
         assert captured.err.startswith("error: hindsight value at hour")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["oracle", "train"])
+    def test_too_many_charge_levels_is_an_error(self, command, tmp_path, capsys, clean_env):
+        # the level closure once gave up with a RuntimeError and a traceback
+        prices = write_series_csv(tmp_path / "p.csv", [1.0, 2.0, 3.0] * 8)
+        assert run([command, "--prices", prices, "--capacity-kwh", "100000", "--rate-kw", "1", "--out-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: a 100000 kWh battery at 1 kW has more than 10,000 charge levels\n"
+
 
 class TestTrainCommand:
     def test_overflowing_prices_are_an_error(self, tmp_path, capsys, clean_env):
@@ -719,3 +727,21 @@ class TestMalformedCheckpoints:
         code, err = self.eval_checkpoint(tmp_path, capsys, net, metadata=metadata)
         assert code == 1
         assert "error: checkpoint metadata has a malformed battery field" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter(self, tmp_path, capsys, clean_env, value):
+        # a NaN weight once evaluated to "greedy return ... cents" with exit 0
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        net.weights[0][2, 5] = value
+        code, err = self.eval_checkpoint(tmp_path, capsys, net)
+        assert code == 1
+        assert err.startswith("error: ") and "non-finite parameter" in err
+
+    def test_parameter_that_overflows_the_forward(self, tmp_path, capsys, clean_env):
+        # a finite weight near the float limit once printed a RuntimeWarning
+        # from the matmul and a greedy return from inf and NaN Q-values
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        net.weights[0][:, :] = 1.7e308
+        code, err = self.eval_checkpoint(tmp_path, capsys, net)
+        assert code == 1
+        assert err == "error: greedy evaluation left the float range: overflow encountered in matmul\n"

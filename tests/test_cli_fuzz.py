@@ -1,0 +1,204 @@
+"""``eval`` and ``cross-test`` end to end on drawn inputs.
+
+Corrupted checkpoints (header bytes, payload bytes, NaN and inf
+parameters), manifests with bad paths and years, and short price series
+go through ``cli.run``. The only outcomes allowed are exit 0, or exit 1 or
+2 with an ``error:`` line and no traceback: an exception that escapes
+``run`` fails the test as it would end the command in a traceback.
+"""
+
+import math
+import re
+import struct
+from datetime import datetime, timezone
+
+import pytest
+from hypothesis import HealthCheck, assume, currently_in_test_context, event, given, settings
+from hypothesis import strategies as st
+
+from rtp_arb import (
+    AdamState,
+    ObservationNormalizer,
+    PriceSeries,
+    RtpArbError,
+    init_network,
+    load_checkpoint,
+    save_checkpoint,
+    write_price_csv,
+)
+from rtp_arb.cli import run
+from rtp_arb.dqn import CHECKPOINT_MAGIC
+from rtp_arb.experiment import checkpoint_config
+
+FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+BATTERY = {"capacity_kwh": 4.0, "rate_kw": 2.0, "window_hours": 4}
+HEADER_START = len(CHECKPOINT_MAGIC) + 8
+#: levels a corrupted header may leave the battery with: a grid of thousands
+#: of levels is valid but costs seconds per evaluation
+MAX_LEVELS = 64
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("RTP_ARB_DATA_DIR", raising=False)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory) -> bytes:
+    net = init_network(BATTERY["window_hours"], seed=0, hidden_dims=(8,))
+    opt = AdamState.for_network(net)
+    opt.step_count = 7
+    path = tmp_path_factory.mktemp("ckpt") / "agent.ckpt"
+    save_checkpoint(net, opt, ObservationNormalizer(3.0, 2.0, 4.0), {"year": 2021, **BATTERY}, path)
+    return path.read_bytes()
+
+
+def assert_clean_exit(argv, capsys) -> int:
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (code, err)
+    if code != 0:
+        assert "error:" in err, err
+    assert "Traceback" not in err, err
+    if currently_in_test_context():  # --hypothesis-show-statistics lists the outcomes
+        event(f"exit {code}" + (": " + re.sub(r"\S*/", "", err)[7:47] if code else ""))
+    return code
+
+
+def payload_floats(blob: bytes) -> int:
+    return (len(blob) - HEADER_START - struct.unpack_from("<I", blob, HEADER_START - 4)[0]) // 8
+
+
+def cheap_to_evaluate(path) -> bool:
+    """Whether a checkpoint that loads has a battery of a few levels, or does not load."""
+    try:
+        config = checkpoint_config(load_checkpoint(path))
+    except RtpArbError:
+        return True
+    return config.capacity_kwh / config.rate_kw <= MAX_LEVELS
+
+
+FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def corrupt_checkpoints(draw, blob: bytes) -> bytes:
+    """Byte flips in the header or the payload, payload floats set to drawn
+    values (NaN and inf among them), or a cut."""
+    header_end = HEADER_START + struct.unpack_from("<I", blob, HEADER_START - 4)[0]
+    out = bytearray(blob)
+    how = draw(st.sampled_from(["header", "payload", "float", "cut"]))
+    if how == "cut":
+        return bytes(out[: draw(st.integers(0, len(out) - 1))])
+    if how == "float":
+        for _ in range(draw(st.integers(1, 4))):
+            k = draw(st.integers(0, payload_floats(blob) - 1))
+            struct.pack_into("<d", out, header_end + 8 * k, draw(FLOATS))
+        return bytes(out)
+    lo, hi = (0, header_end) if how == "header" else (header_end, len(out))
+    for _ in range(draw(st.integers(1, 4))):
+        out[draw(st.integers(lo, hi - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def short_series(year: int = 2021):
+    """2 to 200 hourly prices, some of them extreme, from a drawn hour of ``year``."""
+    prices = st.lists(
+        st.one_of(
+            st.floats(-50.0, 50.0),
+            st.sampled_from([0.0, -0.0, 1e-300, 1e6, -1e6, 1e150]),
+        ),
+        min_size=2,
+        max_size=200,
+    )
+    hour = st.integers(0, 364 * 24).map(lambda h: datetime(year, 1, 1, tzinfo=timezone.utc).timestamp() + 3600 * h)
+    return st.builds(
+        lambda t, p: PriceSeries(datetime.fromtimestamp(t, timezone.utc), p), hour, prices
+    )
+
+
+@FUZZ
+@given(data=st.data())
+def test_eval_on_a_corrupt_checkpoint(tmp_path, checkpoint_bytes, capsys, data):
+    path = tmp_path / "agent.ckpt"
+    path.write_bytes(data.draw(corrupt_checkpoints(checkpoint_bytes)))
+    assume(cheap_to_evaluate(path))
+    prices = tmp_path / "p.csv"
+    series = data.draw(short_series())
+    write_price_csv(series, prices)
+    argv = ["eval", "--checkpoint", str(path), "--prices", str(prices)]
+    if data.draw(st.booleans()):
+        day = data.draw(st.sampled_from([series.start.date(), datetime(2021, 1, 2).date()]))
+        argv += ["--day", day.isoformat(), "--out-dir", str(tmp_path / "out")]
+    assert_clean_exit(argv, capsys)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["parameter", "first moment", "second moment"])
+def test_eval_on_a_non_finite_payload(tmp_path, checkpoint_bytes, capsys, value, field):
+    # a non-finite parameter is an error; a non-finite moment does not touch
+    # what eval computes, and a long run can save v = inf
+    n = payload_floats(checkpoint_bytes) // 3
+    header_end = len(checkpoint_bytes) - 8 * 3 * n
+    k = ["parameter", "first moment", "second moment"].index(field) * n + 5
+    blob = bytearray(checkpoint_bytes)
+    struct.pack_into("<d", blob, header_end + 8 * k, value)
+    path = tmp_path / "agent.ckpt"
+    path.write_bytes(bytes(blob))
+    prices = tmp_path / "p.csv"
+    write_price_csv(PriceSeries(datetime(2021, 1, 1, tzinfo=timezone.utc), [1.0, 5.0] * 24), prices)
+    code = assert_clean_exit(["eval", "--checkpoint", str(path), "--prices", str(prices)], capsys)
+    assert code == (1 if field == "parameter" else 0)
+
+
+def mostly(good, bad):
+    """``good`` about four times in five, else ``bad``."""
+    return st.sampled_from([True, True, True, True, False]).flatmap(lambda ok: good if ok else bad)
+
+
+BAD_YEARS = st.sampled_from(["", "twenty", "1_0", " 2021", "2021 ", "-1", "0", "99999", "2021.0", "\u0662\u0660\u0662\u0661"])
+BAD_PATHS = st.sampled_from(["", ".", "missing.ckpt", "sub", "/", "p1.csv/x", "a.ckpt\r", "m.csv"])
+CHECKPOINT_PATHS = mostly(st.sampled_from(["a.ckpt", "b.ckpt", "sub/../a.ckpt"]), st.one_of(BAD_PATHS, st.just("p1.csv")))
+PRICE_PATHS = mostly(st.sampled_from(["p1.csv", "p2.csv"]), st.one_of(BAD_PATHS, st.just("a.ckpt")))
+
+
+@st.composite
+def manifests(draw) -> str:
+    """A header, then 0-4 rows of a year, a checkpoint path and a prices path."""
+    header = draw(mostly(st.just("year,checkpoint_path,prices_path"), st.just("year,checkpoint,prices")))
+    years = draw(st.permutations(["2021", "2022", "2023", "2021"]))[: draw(st.sampled_from([2, 3, 2, 4, 0, 1]))]
+    rows = [(draw(mostly(st.just(y), BAD_YEARS)), draw(CHECKPOINT_PATHS), draw(PRICE_PATHS)) for y in years]
+    lines = [header] + [",".join(row) for row in rows]
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from(["2021,a.ckpt", "2021,a.ckpt,p1.csv,extra", ""])))
+    return "".join(line + "\n" for line in lines)
+
+
+@FUZZ
+@given(data=st.data())
+def test_cross_test_on_a_drawn_manifest(tmp_path_factory, checkpoint_bytes, capsys, data):
+    d = tmp_path_factory.mktemp("cross")
+    (d / "sub").mkdir()
+    (d / "a.ckpt").write_bytes(checkpoint_bytes)
+    (d / "b.ckpt").write_bytes(data.draw(corrupt_checkpoints(checkpoint_bytes)))
+    assume(cheap_to_evaluate(d / "b.ckpt"))
+    for name in ("p1.csv", "p2.csv"):
+        write_price_csv(data.draw(short_series()), d / name)
+    (d / "m.csv").write_text(data.draw(manifests()), encoding="utf-8", newline="")
+    assert_clean_exit(["cross-test", "--manifest", str(d / "m.csv"), "--out-dir", str(d / "out")], capsys)
+
+
+def test_cross_test_of_two_good_years_runs(tmp_path, checkpoint_bytes, capsys):
+    # the drawn manifests above reach this case too; here it is certain
+    (tmp_path / "a.ckpt").write_bytes(checkpoint_bytes)
+    for year in (2021, 2022):
+        write_price_csv(PriceSeries(datetime(year, 1, 1, tzinfo=timezone.utc), [1.0, 5.0, 2.0] * 20), tmp_path / f"p{year}.csv")
+    (tmp_path / "m.csv").write_text(
+        "year,checkpoint_path,prices_path\n2021,a.ckpt,p2021.csv\n2022,a.ckpt,p2022.csv\n", encoding="utf-8"
+    )
+    assert assert_clean_exit(["cross-test", "--manifest", str(tmp_path / "m.csv"), "--out-dir", str(tmp_path)], capsys) == 0
+    assert (tmp_path / "cross_test.csv").exists()

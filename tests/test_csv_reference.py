@@ -5,13 +5,16 @@ The price cache and the daily-policy CSV now write their stamps with
 through a column reader: it checks a block of rows at a time (field counts,
 the stamps against the ones the writer would write, ``map(float)``, one
 ``np.isfinite``) and walks a block row by row only to cite the first
-offending row. The reference below is the former path, verbatim: a
-``strftime`` per row when writing, and when reading a generator that parses
-each row's stamp and number in turn. On drawn series the two writers must
-give the same bytes; on mutated files the two readers must give an equal
-series, or the same error class and message.
+offending row. The reference below is the former path: a ``strftime`` per
+row when writing, and when reading a generator that parses each row's stamp
+and number in turn. Its readers take, as the column reader does, only what a
+writer writes: a number of the characters ``0-9 . - + e`` and an action
+spelled as ``str(action)``. On drawn series the two writers must give the
+same bytes; on mutated files the two readers must give an equal series, or
+the same error class and message.
 """
 
+import math
 import re
 import sys
 from datetime import datetime, timedelta, timezone
@@ -31,7 +34,6 @@ from rtp_arb.ingest import (
     CSV_HEADER,
     fetch_five_minute_feed,
     parse_timestamp,
-    read_finite,
     read_price_csv,
     write_price_csv,
 )
@@ -63,7 +65,8 @@ def reference_read_csv_rows(path, header: str, n_fields: int):
     if not p.exists():
         raise ValidationError(f"file does not exist: {p}")
     try:
-        lines = p.read_text(encoding="utf-8").split("\n")
+        with open(p, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{p}: not UTF-8 text: {exc}") from exc
     if lines[-1] == "":
@@ -98,12 +101,27 @@ def reference_read_hourly_rows(path, header: str, n_fields: int):
         yield row_no, start, fields
 
 
+#: a number as a writer writes it: repr of a finite float
+WRITTEN_NUMBER = re.compile(r"[0-9.+\-e]*")
+
+
+def reference_read_finite(path, row_no: int, text: str) -> float:
+    """A number field of a CSV row, of the characters a writer writes, and finite."""
+    try:
+        value = float(text) if WRITTEN_NUMBER.fullmatch(text) else math.nan
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{path}: row {row_no}: bad number {text!r}")
+    return value
+
+
 def reference_read_price_csv(path) -> PriceSeries:
     """Read the cache format back; errors cite the 1-based offending row."""
     start = None
     prices = []
     for row_no, start, (price_s,) in reference_read_hourly_rows(path, CSV_HEADER, 2):
-        prices.append(read_finite(path, row_no, price_s))
+        prices.append(reference_read_finite(path, row_no, price_s))
     if len(prices) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 price rows")
     return PriceSeries(start, prices)
@@ -124,12 +142,12 @@ def reference_read_daily_policy_csv(path) -> DailyPolicyTrace:
     actions = []
     charges = []
     for row_no, start, (price_s, action_s, charge_s) in reference_read_hourly_rows(path, DAILY_POLICY_HEADER, 4):
-        try:
-            actions.append(Action[action_s.upper()])
-        except KeyError as exc:
-            raise ValidationError(f"{path}: row {row_no}: unknown action {action_s!r}") from exc
-        prices.append(read_finite(path, row_no, price_s))
-        charges.append(read_finite(path, row_no, charge_s))
+        actions_by_name = {str(a): a for a in Action}
+        if action_s not in actions_by_name:
+            raise ValidationError(f"{path}: row {row_no}: unknown action {action_s!r}")
+        actions.append(actions_by_name[action_s])
+        prices.append(reference_read_finite(path, row_no, price_s))
+        charges.append(reference_read_finite(path, row_no, charge_s))
     return DailyPolicyTrace(start, tuple(prices), tuple(actions), tuple(charges))
 
 
@@ -346,7 +364,8 @@ def test_mutated_text_reads_alike(tmp_path, written, kind, block, data):
         ([(512, "extra", None), (600, "drop", None)], "row 514: expected"),
         ([(600, "field", (1, "inf")), (511, "swap", None)], "row 513: .* is not one hour after"),
         ([(700, "missing", None), (513, "offset", timedelta(seconds=1))], "row 515: .* is not one hour after"),
-        ([(1023, "crlf", None), (1030, "field", (1, "oops"))], "row 1032: bad number 'oops'"),
+        # a CR stays in its line: the charge or price before it is no number
+        ([(1023, "crlf", None), (1030, "field", (1, "oops"))], "row 1025: bad number"),
     ],
 )
 def test_first_error_across_a_block_boundary(tmp_path, kind, edits, cited):
@@ -376,3 +395,22 @@ def test_stamps_run_to_the_end_of_year_9999(tmp_path):
     path = tmp_path / "price.csv"
     path.write_text("\n".join([CSV_HEADER, *lines]) + "\n", encoding="utf-8")
     assert assert_reads_alike("price", path, 2)[1].endswith("row 6: 9999-12-31T23:00:00Z is not one hour after the row before")
+
+
+@pytest.mark.parametrize("block", [3, 512])
+@pytest.mark.parametrize(
+    "kind, field, text, cited",
+    [(kind, field, text, f"bad number {text!r}") for kind, field in (("price", 1), ("daily", 1), ("daily", 3))
+     for text in ("1_0", " 3.5", "3.5 ", "3.5\r", "\u0663", "+inf", "1e-5x")]
+    + [("daily", 2, text, f"unknown action {text!r}") for text in ("IDLE", "\u0131dle", "Charge", "idle ")],
+)
+def test_only_what_a_writer_writes_reads(tmp_path, kind, field, text, cited, block):
+    # float() reads each of these numbers and Action[text.upper()] each of
+    # these actions, so both readers once returned a series for them
+    header, make = LINES[kind]
+    lines = make(40)
+    edit(lines, 37, "field", (field, text))
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8", newline="")
+    got = assert_reads_alike(kind, path, block)
+    assert got == (ValidationError, f"{path}: row 39: {cited}")

@@ -331,3 +331,19 @@ class TestCheckpoint:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "nope.ckpt")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1])  # the first weight, the last bias
+    def test_non_finite_parameter_rejected(self, tmp_path, value, at):
+        net, opt, norm, metadata, path = self.roundtrip(tmp_path)
+        net.flat[at] = value
+        save_checkpoint(net, opt, norm, metadata, path)
+        with pytest.raises(CheckpointError, match="non-finite parameter"):
+            load_checkpoint(path)
+
+    def test_infinite_second_moment_loads(self, tmp_path):
+        # v = g * g overflows in a long enough run; the file is still an agent
+        net, opt, norm, metadata, path = self.roundtrip(tmp_path)
+        opt.v[3] = np.inf
+        save_checkpoint(net, opt, norm, metadata, path)
+        assert load_checkpoint(path).opt.v.tobytes() == opt.v.tobytes()

@@ -414,6 +414,26 @@ class TestCsvRoundTrips:
         with pytest.raises(ValidationError, match=cited):
             reader(path)
 
+    @pytest.mark.parametrize("text", ["1_0", " 10", "10 ", "10\r", "\u0661\u0660", "+inf"])
+    @pytest.mark.parametrize(
+        "reader, rows, row_no, fields",
+        [
+            (read_training_curves_csv, [CURVES_HEAD, "2017,0,1.0", "2017,10,2.0"], 3, (0, 1, 2)),
+            (read_cross_test_csv, GRID, 4, (0, 1, 2, 3)),
+        ],
+        ids=["curves", "cross"],
+    )
+    def test_numbers_as_no_writer_writes_them_are_rejected(self, tmp_path, reader, rows, row_no, fields, text):
+        # int() and float() read each of these but "+inf", so a hand-edited
+        # year, step or return once read silently
+        for field in fields:
+            cells = rows[row_no - 1].split(",")
+            cells[field] = text
+            path = tmp_path / "result.csv"
+            path.write_text(csv_text(*with_row(rows, row_no, ",".join(cells))))
+            with pytest.raises(ValidationError, match=f"row {row_no}: bad num"):
+                reader(path)
+
     def test_cross_test_incomplete_grid_rejected(self, tmp_path):
         path = tmp_path / "ct.csv"
         path.write_text(

@@ -1,12 +1,13 @@
 """Exact values of fixed-seed runs, so that a refactor cannot change behaviour unnoticed.
 
 The tests that compare two runs of the same code cannot see a change that
-moves both. These pin the values themselves. They are what the default
-OpenBLAS build gives: another BLAS build may round the matrix products
-differently and move them, in which case they must be re-recorded and the
-change noted. The SHA-256 digests of checkpoint bytes are the most fragile
-of these, since every parameter and moment bit counts; the curve values
-(exact integers here) are the portable part of each pin.
+moves both. These pin the values themselves, as numpy's bundled OpenBLAS
+gives them. Its kernels round the matrix products differently, so the
+SHA-256 digests of checkpoint bytes, where every parameter and moment bit
+counts, are pinned per kernel: the one this CPU selects, and those that
+``OPENBLAS_CORETYPE=Haswell`` and ``=Sandybridge`` force. On a kernel with no
+digest recorded the test fails and names it. The curve values (exact
+integers here) are the portable part of each pin.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import assert_decisive, greedy_tables, random_walk, square_wave_series
+from conftest import assert_decisive, greedy_tables, pinned_for_blas_core, random_walk, square_wave_series
 from rtp_arb import (
     AdamState,
     BatteryConfig,
@@ -52,9 +53,11 @@ def test_square_wave_curve_at_seed_0(square_wave_run):
 
 def test_square_wave_checkpoint_bytes_at_seed_0(square_wave_run, tmp_path):
     _, ckpt = square_wave_run
-    assert checkpoint_sha256(ckpt, tmp_path) == (
-        "ba6a95068331bc9f1012a8af1d98c913af5cdd40f171930ce77f874b03da00cb"
-    )
+    assert checkpoint_sha256(ckpt, tmp_path) == pinned_for_blas_core({
+        "SkylakeX": "ba6a95068331bc9f1012a8af1d98c913af5cdd40f171930ce77f874b03da00cb",
+        "Haswell": "875340d0f425af189d6c16eb2a3fa1444fcfd4baa3d72a86072cd29129141e7c",
+        "Sandybridge": "18ec4e42126ec6ba6b7d9cd46e11862df4e87f90b15f5b2d051c2a53d04776a7",
+    })
 
 
 def test_square_wave_greedy_decisions_are_clear_at_seed_0(square_wave_run):
@@ -89,9 +92,11 @@ def test_small_wave_run_curve_and_checkpoint_bytes(tmp_path):
         (0, 16.0), (100, 96.0), (200, 0.0), (300, 16.0), (400, 56.0), (500, 16.0), (600, 16.0)
     )
     assert ckpt.opt.step_count == 47
-    assert checkpoint_sha256(ckpt, tmp_path) == (
-        "e063a1d526090b8b40520902e96322f54ad9924a734a49034581ca349e7bce59"
-    )
+    assert checkpoint_sha256(ckpt, tmp_path) == pinned_for_blas_core({
+        "SkylakeX": "e063a1d526090b8b40520902e96322f54ad9924a734a49034581ca349e7bce59",
+        "Haswell": "3e6aac25b8bddc207f00ed220538eec2788e0cc8b405ce6e46e2a14f88bff16d",
+        "Sandybridge": "fd1decb82b123a2d587d9c2a3fa47a48c689807d09d088f522c1e5b38d277663",
+    })
 
 
 def synthetic_year(year: int, hours: int = 400) -> PriceSeries:

@@ -20,6 +20,7 @@ from conftest import (
     assert_decisive,
     continuous_configs,
     continuous_prices,
+    greedy_blocks,
     greedy_tables,
     make_series,
     random_walk,
@@ -28,6 +29,7 @@ from rtp_arb import (
     ObservationNormalizer,
     QNetwork,
     forward,
+    forward_batch,
     greedy_rollout,
     init_network,
     reset,
@@ -77,6 +79,41 @@ def test_matches_stepwise_rollout(config, hours, seed):
     for n, a in enumerate(actions):
         assert_decisive(forward(net, _observation(prices, config, n, levels[i]), norm), q_batch[n, i])
         i = succ[i][a]
+
+
+def former_blocks(norm, prices, config):
+    """The input blocks greedy evaluation built per block before its workspace:
+    each pair row repeated once per charge level, then the scaled levels."""
+    levels, _, _, _ = charge_grid(prices, config)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
+    scaled_levels = np.tile(levels, GREEDY_BLOCK_HOURS) / norm.charge_scale
+    n_steps = len(prices) - 1
+    for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
+        hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
+        x = np.repeat(pairs[lo + 1 : hi + 1], len(levels), axis=0)
+        x[:, -1] = scaled_levels[: len(x)]
+        yield x
+
+
+# M = 2 and 5; exactly one block; an odd-length last block; a year and a leap year
+@pytest.mark.parametrize(
+    "hours, config, hidden",
+    [(h, c, (64, 64)) for h in (2, 5, GREEDY_BLOCK_HOURS + 1, 3 * GREEDY_BLOCK_HOURS + 8) for c in CONFIGS]
+    + [(h, CONFIGS[0], hidden) for h in (8760, 8784) for hidden in ((64, 64), (16, 8))]
+    + [(3 * GREEDY_BLOCK_HOURS + 8, CONFIGS[1], hidden) for hidden in ((8,), (16, 8), (8, 16, 4))],
+)
+def test_block_q_values_are_forward_batch_bits(hours, config, hidden):
+    # the workspace reuses its buffers from block to block; every block it
+    # runs must be the former block, row for row, with forward_batch's bits
+    prices = random_walk(hours, hours)
+    net = init_network(config.window_hours, hours, hidden_dims=hidden)
+    norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
+    _, blocks = greedy_blocks(net, norm, prices, config)
+    want = list(former_blocks(norm, prices, config))
+    assert len(blocks) == len(want) == -(-(hours - 1) // GREEDY_BLOCK_HOURS)
+    for (x, q), block in zip(blocks, want):
+        assert x.tobytes() == block.tobytes()
+        assert q.tobytes() == forward_batch(net, block).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -150,8 +150,8 @@ def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
 
     def recording(forward_batch, rows):
         def recorded(net, x):
-            if len(x) == 1:  # the act path; greedy evaluation passes whole blocks
-                rows.append(x.tobytes())
+            # only the act path calls it: greedy evaluation runs a BlockForward
+            rows.append(x.tobytes())
             return forward_batch(net, x)
 
         return recorded
