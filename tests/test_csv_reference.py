@@ -364,7 +364,9 @@ def test_mutated_text_reads_alike(tmp_path, written, kind, block, data):
         ([(512, "extra", None), (600, "drop", None)], "row 514: expected"),
         ([(600, "field", (1, "inf")), (511, "swap", None)], "row 513: .* is not one hour after"),
         ([(700, "missing", None), (513, "offset", timedelta(seconds=1))], "row 515: .* is not one hour after"),
-        # a CR stays in its line: the charge or price before it is no number
+        # a CR stays in its line: the charge or price before it is no number,
+        # so the first of a bad number and a CR is the one cited
+        ([(1030, "field", (1, "oops")), (1040, "crlf", None)], "row 1032: bad number 'oops'"),
         ([(1023, "crlf", None), (1030, "field", (1, "oops"))], "row 1025: bad number"),
     ],
 )
