@@ -11,7 +11,7 @@ file, then built-in default. Settings are the leaf fields of
 :class:`RunConfig` (``BatteryConfig``, ``Hyperparams`` and the run fields);
 a field's config key is its name and its flag is ``--field-name``, with the
 exploration schedule's fields keyed ``epsilon_<name>``. The config file is
-flat ``key = value`` text; a line whose first non-blank character is
+flat ``key = value`` UTF-8 text; a line whose first non-blank character is
 ``#`` or ``;`` is a comment, but a note after a value is part of the value
 (``rate_kw = 5  # note`` is a bad value). Exit codes: 0 success, 1 runtime
 or data error, 2 usage error.
@@ -52,8 +52,9 @@ from .ingest import (
     aggregate_hourly,
     default_data_dir,
     fetch_five_minute_feed,
-    read_csv_rows,
+    read_columns,
     read_price_csv,
+    whole_number,
     write_price_csv,
     year_csv_path,
 )
@@ -141,8 +142,12 @@ def _parse_config_file(path) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file does not exist: {p}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8 text: {exc}") from exc
     values: dict[str, str] = {}
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").split("\n"), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
@@ -238,6 +243,10 @@ def _cmd_fetch(cfg: RunConfig, args: argparse.Namespace) -> int:
     if not years:
         raise ConfigError("nothing to fetch: pass --year or set years in the config")
     for year in years:
+        # the feed's zone is behind UTC, so a year's first local hour and its
+        # end must both be datetimes
+        if not 2 <= year <= 9998:
+            raise ConfigError(f"year {year} is outside the years 2-9998 that can be fetched")
         if year == EXCLUDED_YEAR and not args.force:
             raise ConfigError(
                 f"year {EXCLUDED_YEAR} is excluded by default (known price irregularities); "
@@ -302,18 +311,22 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _year(text: str) -> int:
+    try:
+        return whole_number(text)
+    except ValueError:
+        raise ValueError(f"bad year {text!r}") from None
+
+
 def _read_manifest(path) -> list[tuple[int, Path, Path]]:
-    rows = []
+    _, columns = read_columns(path, "year,checkpoint_path,prices_path", (_year, str, str))
     base = Path(path).parent
-    for row_no, (year_s, ckpt, prices) in read_csv_rows(path, "year,checkpoint_path,prices_path", 3):
-        try:
-            year = int(year_s)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad year {year_s!r}") from exc
-        if any(year == seen for seen, _, _ in rows):
+    rows = {}
+    for row_no, (year, ckpt, prices) in enumerate(zip(*columns), start=2):
+        if year in rows:
             raise ValidationError(f"{path}: row {row_no}: year {year} is listed twice")
-        rows.append((year, base / ckpt, base / prices))
-    return rows
+        rows[year] = (year, base / ckpt, base / prices)
+    return list(rows.values())
 
 
 def _cmd_cross_test(cfg: RunConfig, args: argparse.Namespace) -> int:

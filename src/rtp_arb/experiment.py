@@ -45,7 +45,7 @@ from .network import (
     forward_batch,
     init_network,
 )
-from .ingest import hour_stamps, number_text, read_csv_rows, read_finite, read_hourly_rows
+from .ingest import hour_stamps, number_text, read_columns, whole_number
 
 log = logging.getLogger(__name__)
 
@@ -432,14 +432,10 @@ def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
 
 
 def read_training_curves_csv(path) -> list[TrainingCurve]:
-    rows = read_csv_rows(path, TRAINING_CURVES_HEADER, 3)
+    _, (years, steps, returns) = read_columns(path, TRAINING_CURVES_HEADER, (whole_number, whole_number, float))
     by_year: dict[int, list[tuple[int, int, float]]] = {}
-    for row_no, (year_s, step_s, ret_s) in rows:
-        try:
-            year, step = int(number_text(year_s)), int(number_text(step_s))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
-        by_year.setdefault(year, []).append((row_no, step, read_finite(path, row_no, ret_s)))
+    for row_no, (year, step, ret) in enumerate(zip(years, steps, returns.tolist()), start=2):
+        by_year.setdefault(year, []).append((row_no, step, ret))
     if not by_year:
         raise ValidationError(f"{path}: row 2: expected a curve point, got none")
     curves = []
@@ -462,20 +458,28 @@ def write_cross_test_csv(matrix: CrossTestMatrix, path) -> None:
     write_lines(path, lines)
 
 
+def _normalized(text: str) -> float:
+    # an empty cell is a suppressed column, the only non-finite value written
+    if not text:
+        return math.nan
+    try:
+        value = float(number_text(text))
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad number {text!r}")
+    return value
+
+
 def read_cross_test_csv(path) -> CrossTestMatrix:
-    rows = read_csv_rows(path, CROSS_TEST_HEADER, 4)
+    _, (agents, tests, raws, norms) = read_columns(path, CROSS_TEST_HEADER, (whole_number, whole_number, float, _normalized))
     # (agent year, test year) -> (row number, raw return, normalized cell)
     cells: dict[tuple[int, int], tuple[int, float, float]] = {}
-    for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
-        try:
-            key = (int(number_text(agent_s)), int(number_text(test_s)))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad numeric field") from exc
+    for row_no, (agent, test, raw, norm) in enumerate(zip(agents, tests, raws.tolist(), norms), start=2):
+        key = (agent, test)
         if key in cells:
             raise ValidationError(f"{path}: row {row_no}: agent {key[0]} on {key[1]} is listed twice")
-        # an empty cell is a suppressed column, the only non-finite value written
-        norm = read_finite(path, row_no, norm_s) if norm_s else math.nan
-        cells[key] = (row_no, read_finite(path, row_no, raw_s), norm)
+        cells[key] = (row_no, raw, norm)
     if not cells:
         raise ValidationError(f"{path}: row 2: expected an (agent, test) return, got none")
     years = tuple(sorted({a for a, _ in cells}))
@@ -512,7 +516,7 @@ def _action(text: str) -> Action:
 
 
 def read_daily_policy_csv(path) -> DailyPolicyTrace:
-    start, (prices, actions, charges) = read_hourly_rows(path, DAILY_POLICY_HEADER, (float, _action, float))
+    start, (prices, actions, charges) = read_columns(path, DAILY_POLICY_HEADER, (float, _action, float), hourly=True)
     return DailyPolicyTrace(start, tuple(prices.tolist()), tuple(actions), tuple(charges.tolist()))
 
 

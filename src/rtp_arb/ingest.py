@@ -7,9 +7,11 @@ columns, int64 microseconds since the Unix epoch and float64 prices, sorted
 and deduplicated (the last record seen for a timestamp wins). It averages
 each UTC hour's samples into an hourly series, bridges fully missing hours by
 linear interpolation (and says so in the returned report), and round-trips
-the result through a small, strict CSV cache format, written and checked as
-columns: the stamps come from :func:`hour_stamps`, and the reader compares a
-block of rows at a time with them.
+the result through a small, strict CSV cache format written as columns: the
+stamps come from :func:`hour_stamps`. :func:`read_columns` reads it back, and
+every other CSV of the lab too (daily dispatch, training curves, cross-test
+results, the cross-test manifest): it checks a block of rows at a time, and
+cites the first bad row by running the same check on single rows.
 
 The HTTP transport and the retry sleep are injectable so tests run entirely
 from recorded fixtures; nothing here touches the network unless asked to.
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import datetime, time as dtime, timedelta, timezone
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -330,40 +331,6 @@ def write_price_csv(series: PriceSeries, path) -> None:
     write_lines(path, [CSV_HEADER, *map(",".join, rows)])
 
 
-def _data_lines(path, header: str) -> list[str]:
-    """The lines after row 1 of a UTF-8 file whose row 1 is ``header`` exactly.
-
-    Lines end at LF only, as the writers write them: a CR stays in its line."""
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"file does not exist: {p}")
-    try:
-        with open(p, encoding="utf-8", newline="") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{p}: not UTF-8 text: {exc}") from exc
-    if lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != header:
-        got = lines[0] if lines else ""
-        raise ValidationError(f"{p}: row 1: expected header {header!r}, got {got!r}")
-    del lines[0]
-    return lines
-
-
-def read_csv_rows(path, header: str, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(row number, fields)`` of a strict comma-separated file, one row at a time.
-
-    Row 1 must be ``header`` exactly and every later row must have ``n_fields``
-    fields; errors cite the 1-based offending row.
-    """
-    for row_no, line in enumerate(_data_lines(path, header), start=2):
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ValidationError(f"{Path(path)}: row {row_no}: expected {n_fields} fields, got {len(parts)}")
-        yield row_no, parts
-
-
 #: Every character the writers put in a number field: ``repr`` of a finite
 #: float or ``str`` of an int. ``float()`` and ``int()`` read more than that:
 #: ``1_0``, surrounding whitespace (a CR too) and non-ASCII digits.
@@ -378,106 +345,116 @@ def number_text(text: str) -> str:
     return text
 
 
-def read_finite(path, row_no: int, text: str) -> float:
-    """A number field of a CSV row; the writers write only finite ones."""
+def whole_number(text: str) -> int:
+    """An integer field as the writers write it (``str`` of an int)."""
     try:
-        value = float(number_text(text))
+        return int(number_text(text))
     except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValidationError(f"{path}: row {row_no}: bad number {text!r}")
-    return value
+        raise ValueError(f"bad number {text!r}") from None
 
 
-#: Rows per block of :func:`read_hourly_rows`: its working set stays small
+#: Rows per block of :func:`read_columns`: its working set stays small
 #: whatever the file length (reading an 8,760-row year peaks at 1.1 MiB of
 #: allocation in 512-row blocks, 4.9 MiB in one block).
 HOURLY_BLOCK_ROWS = 512
 
 
-def read_hourly_rows(path, header: str, converters: Sequence[Callable]) -> tuple[datetime | None, list]:
-    """``(start, columns)`` of a strict CSV of consecutive hours.
+def read_columns(path, header: str, converters: Sequence[Callable], hourly: bool = False) -> tuple[datetime | None, list]:
+    """``(start, columns)`` of a strict comma-separated UTF-8 file, one column per converter.
 
-    Each row is an hour stamp and one field per converter. ``start`` is row
-    2's stamp (None without rows), and every later row's stamp must be the one
-    :func:`hour_stamps` writes for it, one hour after the row before. A
-    ``float`` column comes back as a float64 array of finite numbers written
-    with NUMBER_CHARS only; another converter's column as a list of its
-    results, a ValueError it raises being the row's error.
+    Row 1 must be ``header`` exactly, and lines end at LF only, as the
+    writers write them: a CR stays in its line. A ``float`` column comes back
+    as a float64 array of finite numbers written with NUMBER_CHARS only;
+    another converter's column as a list of its results, a ValueError it
+    raises being the row's error. With ``hourly``, each row starts with an
+    hour stamp: ``start`` is row 2's (None without rows or ``hourly``), and
+    every later row's stamp must be the one :func:`hour_stamps` writes for
+    it, one hour after the row before.
 
-    Rows are checked a block at a time: field counts, stamps against the
-    expected stamps, one :func:`number_text` over the block's numbers,
-    ``map`` of each converter, one ``np.isfinite``. Only a
-    block that fails is walked row by row, to cite its first offending row;
-    within a row the order is field count, stamp, the other converters, the
-    numbers.
+    Rows are checked HOURLY_BLOCK_ROWS at a time: field counts, the stamps
+    against the expected ones, ``map`` of each other converter, then per
+    ``float`` column one :func:`number_text` over its fields, ``map(float)``
+    and one ``np.isfinite``. When a block fails, the same check runs on its
+    rows one at a time, and the first row that fails is cited with the
+    message of the check it failed, in that order.
     """
-    lines = _data_lines(path, header)
-    width = len(converters) + 1
+    p = Path(path)
+    if not p.exists():
+        raise ValidationError(f"file does not exist: {p}")
+    try:
+        with open(p, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{p}: not UTF-8 text: {exc}") from exc
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != header:
+        got = lines[0] if lines else ""
+        raise ValidationError(f"{p}: row 1: expected header {header!r}, got {got!r}")
+    del lines[0]
+
+    skip = int(hourly)
+    width = len(converters) + skip
     numeric = [j for j, conv in enumerate(converters) if conv is float]
     values = np.empty((len(numeric), len(lines)))
-    texts = {j: [] for j, conv in enumerate(converters) if conv is not float}
-    start = None
-    for lo in range(0, len(lines), HOURLY_BLOCK_ROWS):
-        block = lines[lo : lo + HOURLY_BLOCK_ROWS]
-        m = len(block)
+
+    def check(lo: int, m: int, start):
+        """``(start, other columns)`` of ``m`` rows from ``lines[lo]``; an error
+        cites the first of them, so it names the bad row when ``m`` is 1."""
         # a line holds no LF, so an LF field can only be a row break: every
         # row has ``width`` fields iff the breaks sit every width + 1 fields
-        fields = ",\n,".join(block).split(",")
-        try:
-            if start is None:
-                start = parse_timestamp(fields[0])
-            ok = (
-                len(fields) == (width + 1) * m - 1
-                and fields[width :: width + 1].count("\n") == m - 1
-                and fields[:: width + 1] == hour_stamps(start, m, lo)
-            )
-            if ok:
-                numbers = [fields[j + 1 :: width + 1] for j in numeric]
-                number_text("".join(map("".join, numbers)))  # all of the block's numbers at once
-                values[:, lo : lo + m] = [list(map(float, col)) for col in numbers]
-                converted = {j: list(map(converters[j], fields[j + 1 :: width + 1])) for j in texts}
-                ok = np.isfinite(values[:, lo : lo + m]).all()
-        except ValueError:
-            ok = False
-        if not ok:
-            _cite_first_bad_row(path, lines, lo, m, start, converters)
-        for j, col in converted.items():
-            texts[j].extend(col)
-    columns = dict(zip(numeric, values)) | texts
-    return start, [columns[j] for j in range(len(converters))]
-
-
-def _cite_first_bad_row(path, lines: list[str], lo: int, m: int, start, converters) -> None:
-    """Raise the error of the first bad row among ``lines[lo : lo + m]``."""
-    for k in range(lo, lo + m):
-        row_no = k + 2
-        stamp_s, *fields = parts = lines[k].split(",")
-        if len(parts) != len(converters) + 1:
-            raise ValidationError(f"{Path(path)}: row {row_no}: expected {len(converters) + 1} fields, got {len(parts)}")
-        try:
-            stamp = parse_timestamp(stamp_s)
-        except ValueError as exc:
-            raise ValidationError(f"{path}: row {row_no}: bad timestamp {stamp_s!r}") from exc
-        if k == 0:
-            start = stamp
-        elif stamp_s != hour_stamps(start, 1, k)[0]:
-            raise ValidationError(f"{path}: row {row_no}: {stamp_s} is not one hour after the row before")
-        for conv, text in zip(converters, fields):
+        fields = ",\n,".join(lines[lo : lo + m]).split(",")
+        if len(fields) != (width + 1) * m - 1 or fields[width :: width + 1].count("\n") != m - 1:
+            raise ValidationError(f"{p}: row {lo + 2}: expected {width} fields, got {len(fields)}")
+        if hourly:
+            try:
+                if start is None:
+                    start = parse_timestamp(fields[0])
+                late = fields[:: width + 1] != hour_stamps(start, m, lo)
+                if late:
+                    parse_timestamp(fields[0])
+            except ValueError as exc:
+                raise ValidationError(f"{path}: row {lo + 2}: bad timestamp {fields[0]!r}") from exc
+            if late:
+                raise ValidationError(f"{path}: row {lo + 2}: {fields[0]} is not one hour after the row before")
+        columns = {}
+        for j, conv in enumerate(converters):
             if conv is not float:
                 try:
-                    conv(text)
+                    columns[j] = list(map(conv, fields[j + skip :: width + 1]))
                 except ValueError as exc:
-                    raise ValidationError(f"{path}: row {row_no}: {exc}") from exc
-        for conv, text in zip(converters, fields):
-            if conv is float:
-                read_finite(path, row_no, text)
-    raise AssertionError(f"{path}: rows {lo + 2}-{lo + m + 1} failed as a block, but no row failed")
+                    raise ValidationError(f"{path}: row {lo + 2}: {exc}") from exc
+        for i, j in enumerate(numeric):
+            texts = fields[j + skip :: width + 1]
+            try:
+                number_text("".join(texts))
+                values[i, lo : lo + m] = list(map(float, texts))
+                ok = np.isfinite(values[i, lo : lo + m]).all()
+            except ValueError:
+                ok = False
+            if not ok:
+                raise ValidationError(f"{path}: row {lo + 2}: bad number {texts[0]!r}")
+        return start, columns
+
+    start = None
+    others = {j: [] for j, conv in enumerate(converters) if conv is not float}
+    for lo in range(0, len(lines), HOURLY_BLOCK_ROWS):
+        m = min(HOURLY_BLOCK_ROWS, len(lines) - lo)
+        try:
+            start, columns = check(lo, m, start)
+        except ValidationError:
+            for k in range(lo, lo + m):
+                start, _ = check(k, 1, start)
+            raise AssertionError(f"{path}: rows {lo + 2}-{lo + m + 1} failed as a block, but no row failed")
+        for j, col in columns.items():
+            others[j].extend(col)
+    by_index = dict(zip(numeric, values)) | others
+    return start, [by_index[j] for j in range(len(converters))]
 
 
 def read_price_csv(path) -> PriceSeries:
     """Read the cache format back; errors cite the 1-based offending row."""
-    start, (prices,) = read_hourly_rows(path, CSV_HEADER, (float,))
+    start, (prices,) = read_columns(path, CSV_HEADER, (float,), hourly=True)
     if len(prices) < 2:
         raise InsufficientDataError(f"{path}: fewer than 2 price rows")
     return PriceSeries(start, prices)

@@ -347,6 +347,17 @@ class TestKnobErrors:
         assert captured.err.startswith("error:") and "epsilon" in captured.err
         assert captured.out == ""
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys, clean_env):
+        # read_text raised UnicodeDecodeError out of run, a traceback
+        prices = write_series_csv(tmp_path / "p.csv", [1.0, 2.0])
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# caf\xe9\ncapacity_kwh = 4\n")
+        code = run(["oracle", "--prices", prices, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {cfg}: not UTF-8 text")
+        assert captured.out == ""
+
 
 class TestBatteryFlags:
     """The battery flags exist only where the battery is read; the file keys stay everywhere."""
@@ -410,6 +421,29 @@ class TestFetchCommand:
         cfg.write_text("years =\n")
         assert run(["fetch", "--config", str(cfg), "--data-dir", str(tmp_path)]) == 1
         assert "nothing to fetch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("year", [-5, 0, 1, 9999, 10**20])
+    def test_year_out_of_range(self, how, year, tmp_path, capsys, clean_env, monkeypatch):
+        # datetime(year, ...) or the feed zone's first local hour raised
+        # ValueError or OverflowError, after the cache dir was made
+        monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", None)  # never reached
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"years = 2019, {year}\n")
+        argv = ["--year", str(year)] if how == "flag" else ["--config", str(cfg)]
+        assert run(["fetch", *argv, "--data-dir", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: year {year} is outside the years 2-9998 that can be fetched\n"
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("year", [2, 9998])
+    def test_first_and_last_fetchable_years(self, year, tmp_path, capsys, clean_env, monkeypatch):
+        # the real fetch and its day chunks, on a transport with no records
+        feed = functools.partial(fetch_five_minute_feed, http_get=lambda url: "[]")
+        monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", feed)
+        assert run(["fetch", "--year", str(year), "--data-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: no samples to aggregate\n"
 
     def test_fetch_writes_cache(self, tmp_path, capsys, clean_env, monkeypatch):
         def fake_feed(start, end, endpoint):
@@ -594,6 +628,16 @@ class TestManifestAndPlotErrors:
             _read_manifest(m)
         assert run(["cross-test", "--manifest", str(m)]) == 1
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("year", ["1_0", " 2021 ", "\u0662\u0660\u0662\u0661", "2021.0", ""])
+    def test_manifest_year_as_no_writer_writes_it(self, year, tmp_path, capsys, clean_env):
+        # int() read 1_0 as year 10, and " 2021 " and the Arabic-Indic digits as 2021
+        m = tmp_path / "m.csv"
+        m.write_text(f"year,checkpoint_path,prices_path\n{year},a.ckpt,p.csv\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"row 2: bad year {year!r}"):
+            _read_manifest(m)
+        assert run(["cross-test", "--manifest", str(m)]) == 1
+        assert f"row 2: bad year {year!r}" in capsys.readouterr().err
 
     def test_manifest_duplicate_year(self, tmp_path, capsys, clean_env):
         # a later row for 2017 once replaced the first, so agent 2018 was

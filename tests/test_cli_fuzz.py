@@ -1,10 +1,11 @@
-"""``eval`` and ``cross-test`` end to end on drawn inputs.
+"""``eval``, ``cross-test`` and ``oracle`` end to end on drawn inputs.
 
 Corrupted checkpoints (header bytes, payload bytes, NaN and inf
-parameters), manifests with bad paths and years, and short price series
-go through ``cli.run``. The only outcomes allowed are exit 0, or exit 1 or
-2 with an ``error:`` line and no traceback: an exception that escapes
-``run`` fails the test as it would end the command in a traceback.
+parameters), manifests with bad paths and years, short price series and
+config files with bad keys, values and bytes go through ``cli.run``. The
+only outcomes allowed are exit 0, or exit 1 or 2 with an ``error:`` line
+and no traceback: an exception that escapes ``run`` fails the test as it
+would end the command in a traceback.
 """
 
 import math
@@ -26,7 +27,7 @@ from rtp_arb import (
     save_checkpoint,
     write_price_csv,
 )
-from rtp_arb.cli import run
+from rtp_arb.cli import _KNOBS, run
 from rtp_arb.dqn import CHECKPOINT_MAGIC
 from rtp_arb.experiment import checkpoint_config
 
@@ -202,3 +203,39 @@ def test_cross_test_of_two_good_years_runs(tmp_path, checkpoint_bytes, capsys):
     )
     assert assert_clean_exit(["cross-test", "--manifest", str(tmp_path / "m.csv"), "--out-dir", str(tmp_path)], capsys) == 0
     assert (tmp_path / "cross_test.csv").exists()
+
+
+# mostly the battery keys the oracle reads, with values it takes
+CONFIG_KEYS = mostly(
+    st.sampled_from(["capacity_kwh", "rate_kw", "window_hours"]),
+    st.one_of(st.sampled_from(sorted(_KNOBS)), st.sampled_from(["", "capacity", "rate-kw", "CAPACITY_KWH", "years x", "[battery]"])),
+)
+CONFIG_VALUES = mostly(
+    st.sampled_from(["1", "2", "4", "0.5", "9999", "1e-3"]),
+    st.sampled_from(["", "0", "-1", "nan", "inf", "1e999", "5e-324", "1e308", "1_0", "\u0663", "9" * 30, "abc", "1,,2", "4  # note"]),
+)
+#: bytes that are no UTF-8 text where they stand
+NOT_UTF8 = st.sampled_from([b"\xe9", b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """0-5 ``key = value`` lines, a comment or a line with no ``=``, maybe a byte that is no UTF-8."""
+    lines = [f"{draw(CONFIG_KEYS)} = {draw(CONFIG_VALUES)}" for _ in range(draw(st.integers(0, 5)))]
+    if draw(st.integers(0, 4)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["# caf", "; x", "capacity_kwh 4", "  "])))
+    blob = "\n".join(lines).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(blob)))
+        blob = blob[:at] + draw(NOT_UTF8) + blob[at:]
+    return blob
+
+
+@FUZZ
+@given(data=st.data())
+def test_oracle_with_a_drawn_config(tmp_path, capsys, data):
+    prices = tmp_path / "p.csv"
+    write_price_csv(PriceSeries(datetime(2021, 1, 1, tzinfo=timezone.utc), [1.0, 5.0]), prices)
+    cfg = tmp_path / "settings.cfg"
+    cfg.write_bytes(data.draw(config_files()))
+    assert_clean_exit(["oracle", "--prices", str(prices), "--config", str(cfg)], capsys)

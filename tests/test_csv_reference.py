@@ -1,17 +1,27 @@
-"""Columnar hour-stamped CSVs against the per-row path they replaced.
+"""The column reader of every CSV the lab reads against the per-row path it replaced.
 
-The price cache and the daily-policy CSV now write their stamps with
-``hour_stamps`` (one ``np.datetime_as_string`` over the hours) and read
-through a column reader: it checks a block of rows at a time (field counts,
-the stamps against the ones the writer would write, ``map(float)``, one
-``np.isfinite``) and walks a block row by row only to cite the first
+The price cache and the daily-policy CSV write their stamps with
+``hour_stamps`` (one ``np.datetime_as_string`` over the hours). All five
+formats (price cache, daily policy, training curves, cross-test results and
+the cross-test manifest) read through ``ingest.read_columns``: it checks a
+block of rows at a time (field counts, the stamps against the ones the writer
+would write, ``map`` of each converter, one ``np.isfinite`` per number
+column) and runs the same check on single rows only to cite the first
 offending row. The reference below is the former path: a ``strftime`` per
-row when writing, and when reading a generator that parses each row's stamp
-and number in turn. Its readers take, as the column reader does, only what a
+row when writing, and when reading a generator that parses each row's
+fields in turn. Its readers take, as the column reader does, only what a
 writer writes: a number of the characters ``0-9 . - + e`` and an action
 spelled as ``str(action)``. On drawn series the two writers must give the
-same bytes; on mutated files the two readers must give an equal series, or
-the same error class and message.
+same bytes; on mutated files the two readers must give equal values, down
+to the bits of every number, or the same error class and message.
+
+The per-row readers of the results and the manifest differ from the former
+ones where the column reader means to: an integer field's error says
+``bad number '...'`` (``bad year '...'`` in the manifest) where it said
+``bad numeric field``, a manifest year is read as the result files' integer
+fields are (``1_0``, a year padded with spaces and Arabic-Indic digits are
+no year), and a repeated (agent, test) pair or manifest year is reported
+only once every row has read, so a bad field in a later row comes first.
 """
 
 import math
@@ -25,11 +35,26 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from rtp_arb import Action, DailyPolicyTrace, InsufficientDataError, PriceSeries, ValidationError, aggregate_hourly
 from rtp_arb import ingest
 from rtp_arb.atomic import write_lines
+from rtp_arb.cli import _read_manifest
 from rtp_arb.env import HOUR
-from rtp_arb.experiment import DAILY_POLICY_HEADER, read_daily_policy_csv, write_daily_policy_csv
+from rtp_arb.experiment import (
+    CROSS_TEST_HEADER,
+    DAILY_POLICY_HEADER,
+    TRAINING_CURVES_HEADER,
+    CrossTestMatrix,
+    TrainingCurve,
+    read_cross_test_csv,
+    read_daily_policy_csv,
+    read_training_curves_csv,
+    write_cross_test_csv,
+    write_daily_policy_csv,
+    write_training_curves_csv,
+)
 from rtp_arb.ingest import (
     CSV_HEADER,
     fetch_five_minute_feed,
@@ -151,9 +176,87 @@ def reference_read_daily_policy_csv(path) -> DailyPolicyTrace:
     return DailyPolicyTrace(start, tuple(prices), tuple(actions), tuple(charges))
 
 
+def reference_read_int(path, row_no: int, text: str, what: str = "number") -> int:
+    """An integer field of a CSV row, of the characters a writer writes."""
+    try:
+        if WRITTEN_NUMBER.fullmatch(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise ValidationError(f"{path}: row {row_no}: bad {what} {text!r}")
+
+
+def reference_read_training_curves_csv(path) -> list[TrainingCurve]:
+    rows = reference_read_csv_rows(path, TRAINING_CURVES_HEADER, 3)
+    by_year: dict[int, list[tuple[int, int, float]]] = {}
+    for row_no, (year_s, step_s, ret_s) in rows:
+        year, step = reference_read_int(path, row_no, year_s), reference_read_int(path, row_no, step_s)
+        by_year.setdefault(year, []).append((row_no, step, reference_read_finite(path, row_no, ret_s)))
+    if not by_year:
+        raise ValidationError(f"{path}: row 2: expected a curve point, got none")
+    curves = []
+    for year, rows_of_year in sorted(by_year.items()):
+        try:
+            curves.append(TrainingCurve(year, tuple((step, ret) for _, step, ret in rows_of_year)))
+        except ValidationError as exc:
+            # TrainingCurve owns the step-order checks; cite the CSV row
+            raise ValidationError(f"{path}: row {rows_of_year[exc.position][0]}: {exc}") from exc
+    return curves
+
+
+def reference_read_cross_test_csv(path) -> CrossTestMatrix:
+    rows = reference_read_csv_rows(path, CROSS_TEST_HEADER, 4)
+    # (agent year, test year) -> (row number, raw return, normalized cell)
+    cells: dict[tuple[int, int], tuple[int, float, float]] = {}
+    repeated = None
+    for row_no, (agent_s, test_s, raw_s, norm_s) in rows:
+        key = (reference_read_int(path, row_no, agent_s), reference_read_int(path, row_no, test_s))
+        if key in cells and repeated is None:
+            repeated = ValidationError(f"{path}: row {row_no}: agent {key[0]} on {key[1]} is listed twice")
+        # an empty cell is a suppressed column, the only non-finite value written
+        norm = reference_read_finite(path, row_no, norm_s) if norm_s else math.nan
+        cells.setdefault(key, (row_no, reference_read_finite(path, row_no, raw_s), norm))
+    if repeated is not None:
+        raise repeated
+    if not cells:
+        raise ValidationError(f"{path}: row 2: expected an (agent, test) return, got none")
+    years = tuple(sorted({a for a, _ in cells}))
+    if set(cells) != {(a, t) for a in years for t in years}:
+        raise ValidationError(f"{path}: cross-test grid is not complete over {years}")
+    matrix = CrossTestMatrix(years, np.array([[cells[(a, t)][1] for t in years] for a in years]))
+    # the writer writes repr, which round-trips: a written cell matches exactly
+    for (a, t), (row_no, _, norm) in cells.items():
+        derived = float(matrix.normalized[years.index(a), years.index(t)])
+        if not (norm == derived or (math.isnan(norm) and math.isnan(derived))):
+            raise ValidationError(f"{path}: row {row_no}: normalized {norm!r} is not the derived {derived!r}")
+    return matrix
+
+
+MANIFEST_HEADER = "year,checkpoint_path,prices_path"
+
+
+def reference_read_manifest(path) -> list[tuple[int, Path, Path]]:
+    rows = []
+    base = Path(path).parent
+    repeated = None
+    seen = set()  # the years of ``rows``
+    for row_no, (year_s, ckpt, prices) in reference_read_csv_rows(path, MANIFEST_HEADER, 3):
+        year = reference_read_int(path, row_no, year_s, "year")
+        if year in seen:
+            repeated = repeated or ValidationError(f"{path}: row {row_no}: year {year} is listed twice")
+        seen.add(year)
+        rows.append((year, base / ckpt, base / prices))
+    if repeated is not None:
+        raise repeated
+    return rows
+
+
 KINDS = {
     "price": (reference_read_price_csv, read_price_csv),
     "daily": (reference_read_daily_policy_csv, read_daily_policy_csv),
+    "curves": (reference_read_training_curves_csv, read_training_curves_csv),
+    "cross": (reference_read_cross_test_csv, read_cross_test_csv),
+    "manifest": (reference_read_manifest, _read_manifest),
 }
 
 
@@ -165,7 +268,12 @@ def outcome(read, path):
         return type(exc), str(exc)
     if isinstance(got, PriceSeries):
         return repr(got.start), got.prices.tobytes()
-    return repr(got.start), repr(got.prices), got.actions, repr(got.charge_after)
+    if isinstance(got, DailyPolicyTrace):
+        return repr(got.start), repr(got.prices), got.actions, repr(got.charge_after)
+    if isinstance(got, CrossTestMatrix):
+        return got.years, got.raw.tobytes(), got.normalized.tobytes(), got.suppressed_years
+    # curves and manifest rows: the repr of a float gives its bits
+    return repr(got)
 
 
 def assert_reads_alike(kind: str, path, block: int = ingest.HOURLY_BLOCK_ROWS):
@@ -241,15 +349,53 @@ def daily_lines(n: int) -> list[str]:
     ]
 
 
-LINES = {"price": (CSV_HEADER, price_lines), "daily": (DAILY_POLICY_HEADER, daily_lines)}
+def curve_lines(n: int) -> list[str]:
+    """Three curves, their points interleaved."""
+    return [f"{2015 + i % 3},{i // 3 * 10},{i * 0.25 - 3.0!r}" for i in range(n)]
+
+
+def cross_lines(n: int) -> list[str]:
+    """The written grid of the fewest years with at least ``n`` cells; the third year's column is suppressed."""
+    k = math.isqrt(n - 1) + 1
+    raw = np.arange(k * k, dtype=float).reshape(k, k) * 0.75 + 1.0
+    raw[2, 2] = -1.0
+    m = CrossTestMatrix(tuple(range(2000, 2000 + k)), raw)
+    # as write_cross_test_csv writes them
+    return [
+        f"{a},{t},{float(m.raw[i, j])!r},{repr(float(m.normalized[i, j])) if np.isfinite(m.normalized[i, j]) else ''}"
+        for i, a in enumerate(m.years)
+        for j, t in enumerate(m.years)
+    ]
+
+
+def manifest_lines(n: int) -> list[str]:
+    return [f"{2000 + i},a{i}.ckpt,sub/p{i}.csv" for i in range(n)]
+
+
+LINES = {
+    "price": (CSV_HEADER, price_lines),
+    "daily": (DAILY_POLICY_HEADER, daily_lines),
+    "curves": (TRAINING_CURVES_HEADER, curve_lines),
+    "cross": (CROSS_TEST_HEADER, cross_lines),
+    "manifest": (MANIFEST_HEADER, manifest_lines),
+}
+HOURLY = ["price", "daily"]
 # (field index, text): numbers and actions that float() and Action[...upper()] read or reject
 NUMBER_TEXTS = st.sampled_from(["nan", "inf", "-inf", "1e999", "1_0", " 3.5", "3.5 ", "", "oops", "0x10", "٣", "3.5\r"])
+# integers that int() reads or rejects, and years that repeat a row's or leave a grid
+INT_TEXTS = st.sampled_from(["1_0", " 10", "10 ", "", "oops", "1.0", "1e3", "\u0661", "+5", "-0", "10\r", "9" * 30, "2000", "2001", "2015"])
 BAD_FIELDS = {
     "price": st.tuples(st.just(1), NUMBER_TEXTS),
     "daily": st.one_of(
         st.tuples(st.sampled_from([1, 3]), NUMBER_TEXTS),
         st.tuples(st.just(2), st.sampled_from(["hold", "IDLE", "ıdle", " idle", ""])),
     ),
+    "curves": st.one_of(st.tuples(st.sampled_from([0, 1]), INT_TEXTS), st.tuples(st.just(2), NUMBER_TEXTS)),
+    "cross": st.one_of(
+        st.tuples(st.sampled_from([0, 1]), INT_TEXTS),
+        st.tuples(st.sampled_from([2, 3]), st.one_of(NUMBER_TEXTS, st.sampled_from(["0.5", "1.0", "-2.0"]))),
+    ),
+    "manifest": st.one_of(st.tuples(st.just(0), INT_TEXTS), st.tuples(st.sampled_from([1, 2]), st.sampled_from(["", " a.ckpt", "\u0663"]))),
 }
 
 
@@ -296,14 +442,18 @@ def edit(lines: list[str], at: int, how: str, value) -> None:
 
 @st.composite
 def edited_files(draw, kind: str, n: int, block: int):
-    """A written file of ``n`` rows with 1-3 row edits, about half of them next to a block boundary."""
+    """A written file of about ``n`` rows with 1-3 row edits, about half of them next to a block boundary."""
     header, make = LINES[kind]
     lines = make(n)
+    n = len(lines)
+    edits = ["swap", "duplicate", "drop", "blank", "unpad", "offset", "extra", "missing", "field", "crlf"]
+    if kind not in HOURLY:
+        edits = [e for e in edits if e not in ("unpad", "offset")]
     near_boundary = st.sampled_from(sorted({b + d for b in range(0, n, block) for d in (-2, -1, 0, 1)} & set(range(n))))
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.one_of(near_boundary, st.integers(0, n - 1)))
         at = min(at, len(lines) - 1)
-        how = draw(st.sampled_from(["swap", "duplicate", "drop", "blank", "unpad", "offset", "extra", "missing", "field", "crlf"]))
+        how = draw(st.sampled_from(edits))
         value = {
             "offset": st.sampled_from([timedelta(seconds=1), -HOUR, HOUR, timedelta(days=1)]),
             "field": BAD_FIELDS[kind],
@@ -314,7 +464,7 @@ def edited_files(draw, kind: str, n: int, block: int):
     return "\n".join([header, *lines]) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["price", "daily"])
+@pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("block", [1, 5])
 @CHECKS
 @given(data=st.data())
@@ -324,7 +474,7 @@ def test_edited_rows_read_alike_in_small_blocks(tmp_path, kind, block, data):
     assert_reads_alike(kind, path, block)
 
 
-@pytest.mark.parametrize("kind", ["price", "daily"])
+@pytest.mark.parametrize("kind", list(KINDS))
 @CHECKS
 @given(data=st.data())
 def test_edited_rows_read_alike_across_real_blocks(tmp_path, kind, data):
@@ -336,15 +486,20 @@ def test_edited_rows_read_alike_across_real_blocks(tmp_path, kind, data):
 
 @pytest.fixture(scope="module")
 def written(tmp_path_factory):
-    """The text of a 10-row price CSV and of a one-day daily-policy CSV."""
+    """The text of a 10-row price CSV, a one-day daily-policy CSV, two training
+    curves, a 3-year cross-test grid with a suppressed column and a manifest."""
     d = tmp_path_factory.mktemp("written")
     write_price_csv(PriceSeries(BASE, [3.5, -1.25, 7.0, 2.0, 0.5, 1e-300, -0.0, 4.0, 9.5, 1.0]), d / "price.csv")
     actions = tuple(Action(i % 3) for i in range(24))
     write_daily_policy_csv(DailyPolicyTrace(BASE, tuple(i / 8 for i in range(24)), actions, (0.0,) * 24), d / "daily.csv")
+    curves = [TrainingCurve(2015, ((0, -3.5), (10, 2.25), (20, 1e-300))), TrainingCurve(2016, ((0, 4.0), (500, -0.0)))]
+    write_training_curves_csv(curves, d / "curves.csv")
+    write_cross_test_csv(CrossTestMatrix((2015, 2016, 2017), np.array([[4.0, 1.5, 3.0], [2.0, -1.0, 0.5], [1.0, 2.5, 8.0]])), d / "cross.csv")
+    (d / "manifest.csv").write_text(f"{MANIFEST_HEADER}\n2015,a.ckpt,p15.csv\n2016,b.ckpt,sub/p16.csv\n", encoding="utf-8")
     return {kind: (d / f"{kind}.csv").read_text(encoding="utf-8") for kind in KINDS}
 
 
-@pytest.mark.parametrize("kind", ["price", "daily"])
+@pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("block", [2, 512])
 @CHECKS
 @given(data=st.data())
