@@ -44,8 +44,9 @@ class Series:
 def _axis_range(values: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
-        # degenerate span: pad so the scale stays invertible
-        pad = 1.0 if lo == 0.0 else abs(lo) * 0.1
+        # degenerate span: pad so the scale stays invertible; unit padding
+        # for zero and for a subnormal whose tenth rounds to zero
+        pad = abs(lo) * 0.1 or 1.0
         return lo - pad, hi + pad
     return lo, hi
 

@@ -67,11 +67,20 @@ DEFAULT_YEARS = (2015, 2016, 2017, 2018, 2019)
 EXCLUDED_YEAR = 2020
 
 
+def _year(text: str) -> int:
+    """A year as the result files and the manifest write it."""
+    try:
+        return whole_number(text)
+    except ValueError:
+        raise ValueError(f"bad year {text!r}") from None
+
+
 def _parse_years(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        parts = (part.strip(" ") for part in text.split(","))
+        return tuple(_year(part) for part in parts if part)
     except ValueError as exc:
-        raise ConfigError(f"years must be a comma-separated list of integers, got {text!r}") from exc
+        raise ConfigError(f"years must be a comma-separated list of integers, got {text!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -209,7 +218,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("fetch", parents=[common], help="download a year of prices into the cache")
-    p.add_argument("--year", type=int, help="calendar year (default: every configured year)")
+    p.add_argument("--year", type=_year, help="calendar year (default: every configured year)")
     p.add_argument("--force", action="store_true", help="allow the excluded year 2020")
 
     p = sub.add_parser("train", parents=[common], help="train one agent on a price CSV")
@@ -309,13 +318,6 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
         csv_path, svg_path = emit_outputs(None, None, cfg.out_dir, trace)
         print(f"daily dispatch: {csv_path} and {svg_path}")
     return 0
-
-
-def _year(text: str) -> int:
-    try:
-        return whole_number(text)
-    except ValueError:
-        raise ValueError(f"bad year {text!r}") from None
 
 
 def _read_manifest(path) -> list[tuple[int, Path, Path]]:

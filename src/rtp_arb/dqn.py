@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import atomic_write
-from .env import Action
+from .env import ACTIONS, Action
 from .errors import CheckpointError, TrainingDivergedError
 from .network import (
     ACTION_COUNT,
@@ -95,10 +95,11 @@ def select_action(
     """Epsilon-greedy choice over 3 Q-values: :func:`explore`, else greedy.
 
     Greedy ties break toward the lowest action code, so evaluation is
-    deterministic. ``rng`` may be omitted when epsilon is 0.
+    deterministic. ``rng`` may be omitted when epsilon is 0; :func:`explore`
+    would then draw nothing, so it is not called.
     """
-    a = explore(epsilon, rng)
-    return Action(int(np.argmax(q))) if a is None else a
+    a = None if epsilon == 0.0 else explore(epsilon, rng)
+    return ACTIONS[q.argmax()] if a is None else a
 
 
 class ReplayBuffer:

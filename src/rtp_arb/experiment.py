@@ -41,8 +41,8 @@ from .network import (
     BlockForward,
     ObservationNormalizer,
     QNetwork,
+    RowForward,
     forward,
-    forward_batch,
     init_network,
 )
 from .ingest import hour_stamps, number_text, read_columns, whole_number
@@ -209,10 +209,12 @@ def train_agent(
     The series is replayed episodically (battery reset to empty each pass)
     for ``total_steps`` environment steps, walking the (hour, charge level)
     grid :func:`greedy_rollout` walks, with the rewards and Q-values that
-    stepping the environment would give. Before any training and then
-    every ``eval_every`` steps, a full-year greedy evaluation is recorded;
-    the returned checkpoint holds the parameters behind the highest
-    evaluation. Three independent random streams (weight init, exploration,
+    stepping the environment would give; the greedy steps' Q-values come
+    from one :class:`rtp_arb.network.RowForward` over the live network, with
+    the bits of :func:`rtp_arb.network.forward_batch`. Before any training
+    and then every ``eval_every`` steps, a full-year greedy evaluation is
+    recorded; the returned checkpoint holds the parameters behind the
+    highest evaluation. Three independent random streams (weight init, exploration,
     replay sampling) derive from ``seed``, making runs bit-reproducible.
 
     On numerical divergence the raised error carries the partial curve.
@@ -245,9 +247,11 @@ def train_agent(
         log.info("year %d step %d greedy return %.2f cents", year, at_step, ret)
 
     evaluate(0)
-    # the current state's input row (see ObservationNormalizer.price_windows),
-    # kept 2-D: a 1-D input could take another BLAS kernel and round differently
-    row = np.empty((1, config.window_hours + 1))
+    # the current state's input row (see ObservationNormalizer.price_windows)
+    # on a one-row workspace over the live parameters, kept 2-D: a 1-D input
+    # could take another BLAS kernel and round differently
+    act = RowForward(net)
+    window, charge = act.x[0, :-1], act.x[0, -1:]
     last_hour = len(prices) - 1
     n, i = 0, empty
     for k in range(total_steps):
@@ -255,9 +259,9 @@ def train_agent(
         # forward when the coin explores
         a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
         if a is None:
-            row[0, :-1] = pairs[n + 1][:-1]
-            row[0, -1] = levels[i] / norm.charge_scale
-            a = select_action(forward_batch(net, row)[0], 0.0)
+            window[:] = pairs[n + 1, :-1]
+            charge[0] = levels[i] / norm.charge_scale
+            a = select_action(act(1)[0], 0.0)
         j = succ[i][a]
         done = n + 1 == last_hour
         push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)
@@ -319,6 +323,8 @@ class CrossTestMatrix:
     by test year (same ordering). ``normalized`` is derived from it: each
     column divided by its same-year return; columns whose same-year return
     is not positive are suppressed (NaN) and listed in ``suppressed_years``.
+    A ratio past the float range is NaN too (written as a blank cell), but
+    does not mark its year as suppressed.
     """
 
     years: tuple[int, ...]
@@ -332,9 +338,13 @@ class CrossTestMatrix:
         for j, test_year in enumerate(self.years):
             same_year = self.raw[j, j]
             if same_year > 0.0:
-                normalized[:, j] = self.raw[:, j] / same_year
+                with np.errstate(over="ignore"):
+                    normalized[:, j] = self.raw[:, j] / same_year
             else:
                 suppressed.append(test_year)
+        # a ratio past the float range is no normalized return: NaN, which
+        # the writer writes as the blank cell it reads back as NaN
+        normalized[np.isinf(normalized)] = np.nan
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "suppressed_years", tuple(suppressed))
 
@@ -347,7 +357,9 @@ class CrossTestMatrix:
                 for j in range(len(self.years))
                 if j != i and np.isfinite(self.normalized[i, j])
             ]
-            out[year] = float(np.mean(vals)) if vals else float("nan")
+            # finite cells can sum past the float range: the mean is then inf
+            with np.errstate(over="ignore"):
+                out[year] = float(np.mean(vals)) if vals else float("nan")
         return out
 
 

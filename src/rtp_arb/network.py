@@ -183,12 +183,13 @@ class BlockForward:
     for their Q-values, the bits :func:`forward_batch` gives on those rows:
     each layer is the same gemm, written into its output buffer, then the
     same elementwise add and ReLU, against biases tiled to ``rows`` rows and
-    a zero block in place of numpy's broadcasting. The result is a view into
-    the workspace, overwritten by the next call.
+    a zero block in place of numpy's broadcasting. The ``n``-row views of
+    these buffers are made once per block size, so a call takes no slices.
+    The result is a view into the workspace, overwritten by the next call.
 
     The tiled biases are copies: they are valid only while ``net`` is
     unchanged, as it is within one greedy rollout, and not across training
-    updates.
+    updates. :class:`RowForward` is the one-row workspace that is.
     """
 
     def __init__(self, net: QNetwork, rows: int):
@@ -200,15 +201,36 @@ class BlockForward:
             for w, b in zip(net.weights, net.biases)
         ]
         self.layers[-1] = (*self.layers[-1][:3], None)
+        self._blocks: dict[int, tuple] = {}
 
     def __call__(self, n: int) -> np.ndarray:
-        h = self.x[:n]
-        for w, b, out, zero in self.layers:
-            h = np.matmul(h, w, out=out[:n])
-            h += b[:n]
+        try:
+            h, layers = self._blocks[n]
+        except KeyError:
+            h, layers = self._blocks[n] = self.x[:n], [
+                (w, b[:n], out[:n], None if zero is None else zero[:n]) for w, b, out, zero in self.layers
+            ]
+        for w, b, out, zero in layers:
+            h = np.matmul(h, w, out=out)
+            h += b
             if zero is not None:
-                np.maximum(h, zero[:n], out=h)
+                np.maximum(h, zero, out=h)
         return h
+
+
+class RowForward(BlockForward):
+    """A one-row :class:`BlockForward` on the live parameters: the act path
+    of training.
+
+    Fill ``x[0]`` and call ``self(1)[0]`` for that row's Q-values (3,), the
+    bits :func:`forward_batch` gives on it. The biases are (1, d) views of
+    ``net.biases``, not tiled copies, so the workspace follows every in-place
+    update of ``net`` and one serves a whole training run.
+    """
+
+    def __init__(self, net: QNetwork):
+        super().__init__(net, 1)
+        self.layers = [(w, b[None], out, zero) for (w, _, out, zero), b in zip(self.layers, net.biases)]
 
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
@@ -315,6 +337,12 @@ class AdamState:
         return replace(self)
 
 
+#: ``adam_update`` flushes subnormal first moments after every update whose
+#: ``step_count`` is a multiple of this.
+FLUSH_EVERY = 64
+_TINY = np.finfo(np.float64).tiny
+
+
 def adam_update(opt: AdamState, net: QNetwork, grads: list[np.ndarray]) -> None:
     """Apply one bias-corrected adaptive-moment step in place.
 
@@ -322,7 +350,18 @@ def adam_update(opt: AdamState, net: QNetwork, grads: list[np.ndarray]) -> None:
     moments. Each element sees the arithmetic of the per-array rule
     ``m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
     p -= (lr*(m/c1)) / (sqrt(v/c2) + eps)`` in the same order, so the
-    result is the same bit for bit.
+    result is the same bit for bit. Once a correction ``c1`` or ``c2`` has
+    rounded to exactly 1.0 (from update 356 and 37,412 at the default betas)
+    its divide is the identity and is skipped.
+
+    After every ``FLUSH_EVERY``-th update (by ``step_count``, so a resumed
+    run flushes at the same updates) first moments below the smallest normal
+    float are set to 0. A dead unit's moment decays by ``b1`` per update
+    into the subnormal range, where arithmetic is many times slower, and
+    stays there (``0.9 * 2**-1074`` rounds back to ``2**-1074``). The step such a moment gives is below
+    ``lr * tiny / (c1 * eps)`` (about 2e-303 at the defaults), which moves no
+    parameter of magnitude above about 2e-287, so the parameters and ``v``
+    keep their bits; only such moments differ from the per-array rule's.
     """
     opt.step_count += 1
     t = opt.step_count
@@ -337,10 +376,18 @@ def adam_update(opt: AdamState, net: QNetwork, grads: list[np.ndarray]) -> None:
     np.multiply(g, 1.0 - opt.beta2, out=s)
     s *= g
     v += s
-    np.divide(m, c1, out=s)
-    s *= opt.learning_rate
-    np.divide(v, c2, out=g)
-    np.sqrt(g, out=g)
+    if c1 == 1.0:
+        np.multiply(m, opt.learning_rate, out=s)
+    else:
+        np.divide(m, c1, out=s)
+        s *= opt.learning_rate
+    if c2 == 1.0:
+        np.sqrt(v, out=g)
+    else:
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
     g += opt.epsilon
     s /= g
     net.flat -= s
+    if t % FLUSH_EVERY == 0:
+        m[np.abs(m) < _TINY] = 0.0

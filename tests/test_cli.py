@@ -437,6 +437,29 @@ class TestFetchCommand:
         assert err == f"error: year {year} is outside the years 2-9998 that can be fetched\n"
         assert not cache.exists()
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("year", ["1_0", "\u0662\u0660\u0662\u0661", "2021.0", "0x7e5", "\t2021"])
+    def test_year_as_no_writer_writes_it(self, how, year, tmp_path, capsys, clean_env, monkeypatch):
+        # int() read 1_0 as year 10 and the Arabic-Indic digits as 2021
+        monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", None)  # never reached
+        cache = tmp_path / "cache"
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"years = 2019, {year}\n", encoding="utf-8")
+        argv = ["--year", year] if how == "flag" else ["--config", str(cfg)]
+        code = run(["fetch", *argv, "--data-dir", str(cache)])
+        err = capsys.readouterr().err
+        assert code == (2 if how == "flag" else 1)
+        assert "error:" in err and "Traceback" not in err
+        assert repr(year) in err
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("text", ["2019, 2020", "2019,2020", " 2019 ,  2020 ", "2019,2020,", ",2019,,2020"])
+    def test_years_key_as_written_by_hand(self, text, tmp_path, clean_env):
+        cfg = tmp_path / "settings.cfg"
+        cfg.write_text(f"years = {text}\n")
+        args = _build_parser().parse_args(["fetch", "--config", str(cfg)])
+        assert _assemble(args).years == (2019, 2020)
+
     @pytest.mark.parametrize("year", [2, 9998])
     def test_first_and_last_fetchable_years(self, year, tmp_path, capsys, clean_env, monkeypatch):
         # the real fetch and its day chunks, on a transport with no records

@@ -1,11 +1,11 @@
-"""``eval``, ``cross-test`` and ``oracle`` end to end on drawn inputs.
+"""``eval``, ``cross-test``, ``oracle`` and ``plot`` end to end on drawn inputs.
 
 Corrupted checkpoints (header bytes, payload bytes, NaN and inf
-parameters), manifests with bad paths and years, short price series and
-config files with bad keys, values and bytes go through ``cli.run``. The
-only outcomes allowed are exit 0, or exit 1 or 2 with an ``error:`` line
-and no traceback: an exception that escapes ``run`` fails the test as it
-would end the command in a traceback.
+parameters), manifests with bad paths and years, short price series, config
+files with bad keys, values and bytes, and corrupted result CSVs go through
+``cli.run``. The only outcomes allowed are exit 0, or exit 1 or 2 with an
+``error:`` line and no traceback: an exception that escapes ``run`` fails
+the test as it would end the command in a traceback.
 """
 
 import math
@@ -13,15 +13,19 @@ import re
 import struct
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, currently_in_test_context, event, given, settings
 from hypothesis import strategies as st
 
 from rtp_arb import (
     AdamState,
+    CrossTestMatrix,
+    DailyPolicyTrace,
     ObservationNormalizer,
     PriceSeries,
     RtpArbError,
+    TrainingCurve,
     init_network,
     load_checkpoint,
     save_checkpoint,
@@ -29,7 +33,14 @@ from rtp_arb import (
 )
 from rtp_arb.cli import _KNOBS, run
 from rtp_arb.dqn import CHECKPOINT_MAGIC
-from rtp_arb.experiment import checkpoint_config
+from rtp_arb.env import ACTIONS
+from rtp_arb.experiment import (
+    RESULTS,
+    TRAINING_CURVES_CSV,
+    checkpoint_config,
+    write_cross_test_csv,
+    write_training_curves_csv,
+)
 
 FUZZ = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
@@ -239,3 +250,97 @@ def test_oracle_with_a_drawn_config(tmp_path, capsys, data):
     cfg = tmp_path / "settings.cfg"
     cfg.write_bytes(data.draw(config_files()))
     assert_clean_exit(["oracle", "--prices", str(prices), "--config", str(cfg)], capsys)
+
+
+#: returns, steps' values and charges as the writers may write them, extremes among them
+RESULT_FLOATS = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, -1e300, 1.7e308, -1.7e308]),
+)
+RESULT_YEARS = st.lists(st.integers(2015, 2024), min_size=1, max_size=3, unique=True)
+
+
+@st.composite
+def training_curves(draw) -> list:
+    curves = []
+    for year in draw(RESULT_YEARS):
+        steps = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
+        curves.append(TrainingCurve(year, tuple((s, draw(RESULT_FLOATS)) for s in [0, *sorted(steps)])))
+    return curves
+
+
+@st.composite
+def cross_test_matrices(draw) -> CrossTestMatrix:
+    years = tuple(sorted(draw(RESULT_YEARS)))
+    raw = draw(st.lists(RESULT_FLOATS, min_size=len(years) ** 2, max_size=len(years) ** 2))
+    return CrossTestMatrix(years, np.array(raw).reshape(len(years), len(years)))
+
+
+@st.composite
+def daily_policy_traces(draw) -> DailyPolicyTrace:
+    rows = 24 * draw(st.integers(1, 2))
+    start = datetime.fromtimestamp(draw(st.integers(0, 10**6)) * 3600, timezone.utc)
+    column = st.lists(RESULT_FLOATS, min_size=rows, max_size=rows).map(tuple)
+    actions = st.lists(st.sampled_from(ACTIONS), min_size=rows, max_size=rows).map(tuple)
+    return DailyPolicyTrace(start, draw(column), draw(actions), draw(column))
+
+
+#: fields no writer writes, or writes in another column
+BAD_FIELDS = st.sampled_from(
+    ["", " 1", "1_0", "nan", "inf", "1e999", "0x10", "\u0663", "idle", "CHARGE", "2021-01-01T00:00:00Z", "1,2", "\r"]
+)
+
+
+@st.composite
+def corrupted(draw, blob: bytes) -> bytes:
+    """``blob`` as written, or with flipped bytes, a cut, a field or a line replaced, a line repeated or dropped."""
+    how = draw(st.sampled_from(["none", "flip", "cut", "field", "repeat", "drop"]))
+    if how == "flip":
+        out = bytearray(blob)
+        for _ in range(draw(st.integers(1, 3))):
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if how == "cut":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    lines = blob.decode().split("\n")[:-1]
+    at = draw(st.integers(0, len(lines) - 1))
+    if how == "field":
+        fields = lines[at].split(",")
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(BAD_FIELDS)
+        lines[at] = ",".join(fields)
+    elif how == "repeat":
+        lines.insert(at, lines[at])
+    elif how == "drop":
+        del lines[at]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@FUZZ
+@given(data=st.data())
+def test_plot_on_drawn_result_files(tmp_path_factory, capsys, data):
+    d = tmp_path_factory.mktemp("plot")
+    results = (training_curves(), cross_test_matrices(), daily_policy_traces())
+    for (name, write, _, _), result in zip(RESULTS, results):
+        if data.draw(st.booleans(), label=f"with {name}"):
+            write(data.draw(result), d / name)
+            (d / name).write_bytes(data.draw(corrupted((d / name).read_bytes())))
+    assert_clean_exit(["plot", "--in", str(d)], capsys)
+
+
+def test_plot_of_a_constant_subnormal_curve(tmp_path, capsys):
+    # found by the test above: the padding of a one-value axis rounded to 0,
+    # and the scale divided by the empty span
+    write_training_curves_csv([TrainingCurve(2015, ((0, 5e-324),))], tmp_path / TRAINING_CURVES_CSV)
+    assert assert_clean_exit(["plot", "--in", str(tmp_path)], capsys) == 0
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        [[5e-324, 1.0], [1.7e308, 1.0]],  # a ratio past the float range: was inf, written blank, read back as NaN
+        [[1.0, 1e308, 1e308], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],  # finite cells whose mean overflows
+    ],
+)
+def test_plot_of_normalized_returns_past_the_float_range(tmp_path, capsys, raw):
+    write_cross_test_csv(CrossTestMatrix((2021, 2022, 2023)[: len(raw)], np.array(raw)), tmp_path / "cross_test.csv")
+    assert assert_clean_exit(["plot", "--in", str(tmp_path)], capsys) == 0

@@ -21,6 +21,7 @@ from rtp_arb import (
     save_checkpoint,
     sync_target,
 )
+from rtp_arb.network import FLUSH_EVERY
 
 
 def reference_adam_update(opt, params, first, second, grads):
@@ -75,6 +76,82 @@ def test_matches_per_array_loop_bit_for_bit(dims):
         assert got.tobytes() == want.tobytes()
     assert opt.m.tobytes() == np.concatenate(first, axis=None).tobytes()
     assert opt.v.tobytes() == np.concatenate(second, axis=None).tobytes()
+
+
+def per_array(flat, like):
+    """Copies of the pieces of ``flat``, in the shapes of the arrays ``like``."""
+    offsets = np.cumsum([p.size for p in like])[:-1]
+    return [part.reshape(p.shape).copy() for part, p in zip(np.split(flat, offsets), like)]
+
+
+def with_reference(net, m, v, step_count):
+    """An optimizer over ``net`` with moments ``m`` and ``v`` at ``step_count``,
+    and the equal per-array state of the reference rule."""
+    opt = AdamState(learning_rate=3e-3, step_count=step_count, m=m, v=v)
+    ref = AdamState(learning_rate=3e-3, step_count=step_count)
+    params = [p.copy() for p in net.parameters()]
+    return opt, ref, params, per_array(m, params), per_array(v, params)
+
+
+@pytest.mark.parametrize("start, beta", [(340, "beta1"), (37_400, "beta2")])
+def test_matches_per_array_loop_across_the_exact_one_switch(start, beta):
+    # adam_update skips a bias-correction divide once it is by exactly 1.0
+    # (from update 356 for c1, 37,412 for c2 at the default betas); the
+    # reference always divides
+    steps = 40
+    net = random_net((5, 8, 6, 3), seed=start)
+    rng = np.random.default_rng(start)
+    m, v = rng.normal(size=net.flat.size), rng.uniform(0.0, 2.0, size=net.flat.size)
+    opt, ref, params, first, second = with_reference(net, m, v, start)
+    crossed = [1.0 - getattr(opt, beta) ** t == 1.0 for t in range(start + 1, start + steps + 1)]
+    assert not crossed[0] and crossed[-1]
+    for _ in range(steps):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 4) for p in params]
+        adam_update(opt, net, grads)
+        reference_adam_update(ref, params, first, second, grads)
+    assert opt.step_count == ref.step_count == start + steps
+    assert net.flat.tobytes() == np.concatenate(params, axis=None).tobytes()
+    assert opt.m.tobytes() == np.concatenate(first, axis=None).tobytes()
+    assert opt.v.tobytes() == np.concatenate(second, axis=None).tobytes()
+
+
+def test_subnormal_first_moments_are_flushed_without_moving_a_parameter():
+    # dead units: zero gradients, first moments in and just above the
+    # subnormal range, of both signs, decaying by beta1 per update
+    tiny = np.finfo(np.float64).tiny
+    net = random_net((5, 8, 6, 3), seed=8)
+    size = net.flat.size
+    rng = np.random.default_rng(8)
+    m, v = rng.normal(size=size), rng.uniform(0.0, 2.0, size=size)
+    dead = np.arange(size) % 3 == 0
+    magnitudes = [5e-324, 1e-320, 3e-315, 2e-310, 1e-307, 5e-305, 1e-302, 1e-300, 1e-298, 1e-290]
+    m[dead] = np.resize(magnitudes, dead.sum()) * np.resize([1.0, -1.0, -1.0], dead.sum())
+    v[dead & (np.arange(size) % 4 == 0)] = 0.0  # the largest steps: eps alone below them
+    opt, ref, params, first, second = with_reference(net, m, v, 0)
+    for _ in range(2 * FLUSH_EVERY):
+        g = rng.normal(size=size)
+        g[dead] = 0.0
+        grads = per_array(g, params)
+        adam_update(opt, net, grads)
+        reference_adam_update(ref, params, first, second, grads)
+    want_m = np.concatenate(first, axis=None)
+    assert net.flat.tobytes() == np.concatenate(params, axis=None).tobytes()
+    assert opt.v.tobytes() == np.concatenate(second, axis=None).tobytes()
+    subnormal = (want_m != 0.0) & (np.abs(want_m) < tiny)
+    assert subnormal.sum() >= 10
+    assert np.all(opt.m[subnormal] == 0.0)
+    assert opt.m[~subnormal].tobytes() == want_m[~subnormal].tobytes()
+
+
+@pytest.mark.parametrize(
+    "step_count, flushed", [(FLUSH_EVERY - 1, True), (FLUSH_EVERY, False), (5 * FLUSH_EVERY - 1, True)]
+)
+def test_flush_follows_the_step_count(step_count, flushed):
+    # keyed on the optimizer's own count, so a resumed run flushes at the same updates
+    net = random_net((2, 3), seed=1)
+    opt = AdamState(step_count=step_count, m=np.full(net.flat.size, 1e-310), v=np.ones(net.flat.size))
+    adam_update(opt, net, [np.zeros_like(p) for p in net.parameters()])
+    assert np.all(opt.m == 0.0) if flushed else np.all(opt.m != 0.0)
 
 
 def test_parameters_and_moments_are_views_of_one_vector_each():

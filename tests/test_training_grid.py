@@ -140,26 +140,38 @@ def test_training_builds_no_environment_state(monkeypatch):
 def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
     """With epsilon 0 throughout, every step is greedy: the grid walk matches
     the stepwise loop, feeds the network the same one-row inputs, and leaves
-    the exploration stream untouched."""
+    the exploration stream untouched. The act path's one-row workspace gives
+    the bits of ``forward_batch`` on the live network at every step, between
+    updates as well."""
     made = []
     default_rng = np.random.default_rng
+    forward_batch = network.forward_batch
 
     def recorded_rng(seed=None):
         made.append((seed, default_rng(seed)))
         return made[-1][1]
 
-    def recording(forward_batch, rows):
-        def recorded(net, x):
-            # only the act path calls it: greedy evaluation runs a BlockForward
-            rows.append(x.tobytes())
-            return forward_batch(net, x)
+    got_rows, want_rows, act_q = [], [], []
 
-        return recorded
+    class Recording(network.RowForward):
+        # the act path's workspace, as conftest.greedy_blocks hooks BlockForward
+        def __init__(self, net):
+            super().__init__(net)
+            self.net = net
 
-    got_rows, want_rows = [], []
+        def __call__(self, n):
+            q = super().__call__(n)
+            got_rows.append(self.x.tobytes())
+            act_q.append((q.tobytes(), forward_batch(self.net, self.x).tobytes()))
+            return q
+
+    def recorded(net, x):
+        want_rows.append(x.tobytes())
+        return forward_batch(net, x)
+
     monkeypatch.setattr(np.random, "default_rng", recorded_rng)
-    monkeypatch.setattr(experiment, "forward_batch", recording(experiment.forward_batch, got_rows))
-    monkeypatch.setattr(network, "forward_batch", recording(network.forward_batch, want_rows))
+    monkeypatch.setattr(experiment, "RowForward", Recording)
+    monkeypatch.setattr(network, "forward_batch", recorded)
     hyper = replace(HYPER, epsilon=EpsilonSchedule(start=0.0, end=0.0))
     prices, config, seed = random_walk(3, 40), CONFIGS[2], 3
     got_points, got_net, got_ring = captured_train(
@@ -175,6 +187,7 @@ def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
         prices, config, hyper, TOTAL_STEPS, EVAL_EVERY, seed
     )
     assert len(got_rows) == len(want_rows) == TOTAL_STEPS
+    assert [got for got, _ in act_q] == [want for _, want in act_q]
     assert got_rows == want_rows
     assert got_points == want_points
     assert got_net.flat.tobytes() == want_net.flat.tobytes()
