@@ -10,6 +10,7 @@ trivially greppable and lets tests assert on structure instead of pixels.
 from __future__ import annotations
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,10 +45,10 @@ class Series:
 def _axis_range(values: Sequence[float]) -> tuple[float, float]:
     lo, hi = min(values), max(values)
     if lo == hi:
-        # degenerate span: pad so the scale stays invertible; unit padding
-        # for zero and for a subnormal whose tenth rounds to zero
+        # degenerate span: pad so the scale stays invertible; unit padding for
+        # zero and a subnormal whose tenth rounds to zero; none past the float range
         pad = abs(lo) * 0.1 or 1.0
-        return lo - pad, hi + pad
+        return max(lo - pad, -sys.float_info.max), min(hi + pad, sys.float_info.max)
     return lo, hi
 
 
@@ -109,17 +110,24 @@ def _frame(plot: ET.Element, x_label: str, y_label: str, x_range, y_range) -> No
     _text(plot, x0 - 6, y1 + 4, f"{y_range[1]:g}", anchor="end", size=11)
 
 
+def _axis(lo: float, hi: float, size: int):
+    """``v -> (v - lo) * size / (hi - lo)``, in [0, size] for ``v`` in [lo, hi].
+
+    A span or ``size / span`` past the float range first scales every value by
+    a power of two, exactly; otherwise by 1.0, which keeps the bits.
+    """
+    k = 0.5 if hi - lo == math.inf else 2.0**600 if size / (hi - lo) == math.inf else 1.0
+    lo *= k
+    scale = size / (hi * k - lo)
+    return lambda v: (v * k - lo) * scale
+
+
 def _scaler(x_range, y_range):
-    x_lo, x_hi = x_range
-    y_lo, y_hi = y_range
-    span_x = (WIDTH - MARGIN_LEFT - MARGIN_RIGHT) / (x_hi - x_lo)
-    span_y = (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM) / (y_hi - y_lo)
+    to_x = _axis(*x_range, WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
+    to_y = _axis(*y_range, HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        return (
-            MARGIN_LEFT + (x - x_lo) * span_x,
-            HEIGHT - MARGIN_BOTTOM - (y - y_lo) * span_y,
-        )
+        return MARGIN_LEFT + to_x(x), HEIGHT - MARGIN_BOTTOM - to_y(y)
 
     return to_px
 

@@ -49,6 +49,7 @@ from .experiment import (
 )
 from .ingest import (
     DEFAULT_ENDPOINT,
+    DIGITS_TO_ZERO,
     aggregate_hourly,
     default_data_dir,
     fetch_five_minute_feed,
@@ -311,6 +312,9 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     if args.day is not None:
         try:
+            # date.fromisoformat also reads 20210102 and 2020-W53-6
+            if args.day.translate(DIGITS_TO_ZERO) != "0000-00-00":
+                raise ValueError(args.day)
             day = date.fromisoformat(args.day)
         except ValueError as exc:
             raise ConfigError(f"--day must be YYYY-MM-DD, got {args.day!r}") from exc

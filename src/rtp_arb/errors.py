@@ -46,7 +46,7 @@ class EpisodeFinishedError(RtpArbError):
 
 
 class TrainingDivergedError(RtpArbError):
-    """Training produced a non-finite loss; carries the partial curve."""
+    """Training produced a non-finite loss or left the float range; carries the partial curve."""
 
     def __init__(self, message, curve=None):
         super().__init__(message)

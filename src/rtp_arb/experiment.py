@@ -217,20 +217,29 @@ def train_agent(
     highest evaluation. Three independent random streams (weight init, exploration,
     replay sampling) derive from ``seed``, making runs bit-reproducible.
 
-    On numerical divergence the raised error carries the partial curve.
+    On numerical divergence (a non-finite loss, or an overflow or invalid
+    operation in the step loop) the raised error carries the partial curve.
     """
     if total_steps < 1 or eval_every < 1 or total_steps % eval_every != 0:
         raise ConfigError(
             f"total_steps ({total_steps}) must be a positive multiple of eval_every ({eval_every})"
         )
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     init_ss, explore_ss, sample_ss = np.random.SeedSequence(seed).spawn(3)
-    net = init_network(config.window_hours, init_ss)
+    try:
+        net = init_network(config.window_hours, init_ss)
+    except (MemoryError, ValueError) as exc:  # numpy refuses arrays it cannot allocate
+        raise ConfigError(f"window_hours {config.window_hours} is too large: {exc}") from None
     target = net.clone()
     opt = AdamState.for_network(net, hyper.learning_rate)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     levels, succ, deltas, empty = charge_grid(prices, config)
     pairs = norm.price_windows(prices.prices, config.window_hours + 1)
-    buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
+    try:
+        buffer = ReplayBuffer(hyper.buffer_capacity, pairs, norm.charge_scale)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"buffer_capacity {hyper.buffer_capacity} is too large: {exc}") from None
     explore_rng = np.random.default_rng(explore_ss)
     sample_rng = np.random.default_rng(sample_ss)
 
@@ -254,29 +263,35 @@ def train_agent(
     window, charge = act.x[0, :-1], act.x[0, -1:]
     last_hour = len(prices) - 1
     n, i = 0, empty
-    for k in range(total_steps):
-        # the same draws as select_action(q, eps, explore_rng), with no
-        # forward when the coin explores
-        a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
-        if a is None:
-            window[:] = pairs[n + 1, :-1]
-            charge[0] = levels[i] / norm.charge_scale
-            a = select_action(act(1)[0], 0.0)
-        j = succ[i][a]
-        done = n + 1 == last_hour
-        push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)
-        n, i = (n + 1, j) if not done else (0, empty)
+    try:
+        # a diverging net can leave the float range in a forward or an update
+        # before its loss does
+        with np.errstate(over="raise", invalid="raise"):
+            for k in range(total_steps):
+                # the same draws as select_action(q, eps, explore_rng), with no
+                # forward when the coin explores
+                a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
+                if a is None:
+                    window[:] = pairs[n + 1, :-1]
+                    charge[0] = levels[i] / norm.charge_scale
+                    a = select_action(act(1)[0], 0.0)
+                j = succ[i][a]
+                done = n + 1 == last_hour
+                push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)
+                n, i = (n + 1, j) if not done else (0, empty)
 
-        if k + 1 >= hyper.learning_starts and (k + 1) % hyper.update_every == 0:
-            try:
-                loss = train_step(net, target, buffer, opt, hyper.batch_size, hyper.gamma, sample_rng)
-            except TrainingDivergedError as exc:
-                exc.curve = TrainingCurve(year, tuple(points))
-                raise
-            if loss is not None and opt.step_count % hyper.target_sync_every == 0:
-                sync_target(net, target)
-        if (k + 1) % eval_every == 0:
-            evaluate(k + 1)
+                if k + 1 >= hyper.learning_starts and (k + 1) % hyper.update_every == 0:
+                    loss = train_step(net, target, buffer, opt, hyper.batch_size, hyper.gamma, sample_rng)
+                    if loss is not None and opt.step_count % hyper.target_sync_every == 0:
+                        sync_target(net, target)
+                if (k + 1) % eval_every == 0:
+                    evaluate(k + 1)
+    except TrainingDivergedError as exc:
+        exc.curve = TrainingCurve(year, tuple(points))
+        raise
+    except FloatingPointError as exc:
+        curve = TrainingCurve(year, tuple(points))
+        raise TrainingDivergedError(f"training left the float range at step {k + 1}: {exc}", curve) from None
 
     assert best is not None
     best_ret, best_step, best_net, best_opt = best

@@ -4,11 +4,12 @@ The upstream feed serves 5-minute real-time prices as JSON records keyed by
 millisecond timestamps. This module fetches a UTC range in per-day chunks
 (retrying transient failures) into :class:`FeedSamples`: two read-only
 columns, int64 microseconds since the Unix epoch and float64 prices, sorted
-and deduplicated (the last record seen for a timestamp wins). It averages
-each UTC hour's samples into an hourly series, bridges fully missing hours by
-linear interpolation (and says so in the returned report), and round-trips
-the result through a small, strict CSV cache format written as columns: the
-stamps come from :func:`hour_stamps`. :func:`read_columns` reads it back, and
+and deduplicated (the last record seen for a timestamp wins).
+:func:`aggregate_hourly` takes these columns only: it averages each UTC hour's
+samples into an hourly series and bridges fully missing hours by linear
+interpolation (and says so in the returned report). The series round-trips
+through a small, strict CSV cache format written as columns: the stamps
+come from :func:`hour_stamps`. :func:`read_columns` reads it back, and
 every other CSV of the lab too (daily dispatch, training curves, cross-test
 results, the cross-test manifest): it checks a block of rows at a time, and
 cites the first bad row by running the same check on single rows.
@@ -33,7 +34,7 @@ from zoneinfo import ZoneInfo
 import numpy as np
 
 from .atomic import write_lines
-from .env import HOUR, PriceSeries, _require_utc
+from .env import HOUR, PriceSeries
 from .errors import InsufficientDataError, ParseError, TransportError, ValidationError
 
 log = logging.getLogger(__name__)
@@ -47,7 +48,7 @@ CSV_HEADER = "hour_start_utc,price_cents_per_kwh"
 # A stamp is well formed when mapping its ASCII digits to "0" gives the shape.
 # (A regex guard did the same job but raised the ingest benchmark's peak memory
 # by about 2.5 MiB in four of six checkout directories tried.)
-_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _TIMESTAMP_SHAPE = "0000-00-00T00:00:00Z"
 
 RETRY_ATTEMPTS = 3
@@ -57,14 +58,6 @@ FIVE_MINUTES = timedelta(minutes=5)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 _HOUR_US = HOUR // _MICROSECOND
-
-
-@dataclass(frozen=True)
-class FiveMinuteSample:
-    """One 5-minute price reading from the feed."""
-
-    timestamp_utc: datetime
-    price_cents_per_kwh: float
 
 
 @dataclass(frozen=True)
@@ -89,13 +82,11 @@ def _default_http_get(url: str) -> str:
         return resp.read().decode("utf-8")
 
 
-class FeedSamples(Sequence):
+class FeedSamples:
     """5-minute samples as two read-only columns.
 
     ``micros`` holds int64 microseconds since the Unix epoch, ``datetime``'s
-    own resolution, so every :class:`FiveMinuteSample` converts exactly;
-    ``prices`` holds the float64 cents/kWh. An int index gives a
-    ``FiveMinuteSample``, a slice gives a ``FeedSamples``.
+    own resolution; ``prices`` holds the float64 cents/kWh.
     """
 
     __slots__ = ("micros", "prices")
@@ -114,11 +105,6 @@ class FeedSamples(Sequence):
 
     def __len__(self) -> int:
         return len(self.micros)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return FeedSamples(self.micros[i], self.prices[i])
-        return FiveMinuteSample(_EPOCH + int(self.micros[i]) * _MICROSECOND, float(self.prices[i]))
 
 
 def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,32 +231,21 @@ def fetch_five_minute_feed(
     return FeedSamples(ms * 1000, np.concatenate(prices)[::-1][first])
 
 
-def aggregate_hourly(samples: Sequence[FiveMinuteSample]) -> tuple[PriceSeries, IngestReport]:
+def aggregate_hourly(samples: FeedSamples) -> tuple[PriceSeries, IngestReport]:
     """Average 5-minute samples into a gap-free hourly series.
 
     Each hour's price is the mean of its samples; hours with none are filled
     by linear interpolation between the nearest sampled hours and flagged in
     the report. First and last hours always have samples by construction.
-    A plain sequence of records is first converted to :class:`FeedSamples`.
     Samples are binned by their whole-hour offset from the first sample's
     hour; ``np.bincount`` adds each hour's prices in sample order from 0.0.
     """
-    if not isinstance(samples, FeedSamples):
-        if len(samples):
-            _require_utc(samples[0].timestamp_utc)
-        samples = FeedSamples(
-            [(s.timestamp_utc - _EPOCH) // _MICROSECOND for s in samples],
-            [s.price_cents_per_kwh for s in samples],
-        )
     micros = samples.micros
     unsorted = np.diff(micros) <= 0
     if unsorted.any():
         i = int(np.argmax(unsorted))
-        a, b = samples[i], samples[i + 1]
-        raise ValueError(
-            f"samples must be strictly ascending; {a.timestamp_utc.isoformat()} "
-            f"then {b.timestamp_utc.isoformat()}"
-        )
+        a, b = (_EPOCH + int(m) * _MICROSECOND for m in micros[i : i + 2])
+        raise ValueError(f"samples must be strictly ascending; {a.isoformat()} then {b.isoformat()}")
     if not len(micros):
         raise InsufficientDataError("no samples to aggregate")
 
@@ -308,7 +283,7 @@ def parse_timestamp(text: str) -> datetime:
     spaces) or an impossible date raises ValueError. A stamp that parses is
     the one :func:`hour_stamps` writes for its time.
     """
-    if text.translate(_DIGITS_TO_ZERO) != _TIMESTAMP_SHAPE:
+    if text.translate(DIGITS_TO_ZERO) != _TIMESTAMP_SHAPE:
         raise ValueError(f"{text!r} is not YYYY-MM-DDTHH:MM:SSZ")
     # an explicit offset parses faster than .replace(tzinfo=...) and gives timezone.utc
     return datetime.fromisoformat(text[:-1] + "+00:00")

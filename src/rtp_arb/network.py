@@ -161,18 +161,24 @@ class ObservationNormalizer:
         return np.lib.stride_tricks.sliding_window_view(padded, window_hours)
 
 
+def _activations(net: QNetwork, x: np.ndarray) -> list[np.ndarray]:
+    """``[x, h1, ..., q]``: each layer's input for a batch ``x``, then its Q-values."""
+    act = [x]
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = act[-1] @ w
+        h += b
+        if k != last:
+            np.maximum(h, 0.0, out=h)
+        act.append(h)
+    return act
+
+
 def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
     """Q-values (B, 3) for a batch of already-normalized inputs (B, L+1)."""
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ValueError(f"input shape {x.shape} does not match network input {net.input_dim}")
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
-        h += b
-        if k != last:
-            np.maximum(h, 0.0, out=h)
-    return h
+    return _activations(net, x)[-1]
 
 
 class BlockForward:
@@ -264,19 +270,10 @@ def td_loss_and_grads(
     if batch == 0:
         raise ValueError("empty batch")
 
-    # Forward, keeping each layer's input for the backward sweep. A hidden
-    # unit passes gradient where its output is positive, which is where its
+    # Each layer's input is kept for the backward sweep. A hidden unit passes
+    # gradient where its output is positive, which is where its
     # pre-activation was (NaN included), so no pre-activation is kept.
-    act: list[np.ndarray] = [x]
-    h = x
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
-        h += b
-        if k != last:
-            np.maximum(h, 0.0, out=h)
-        act.append(h)
-
+    act = _activations(net, x)
     q = act[-1]
     rows = np.arange(batch)
     err = q[rows, action_idx] - targets
@@ -296,7 +293,7 @@ def td_loss_and_grads(
 
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(net.weights))
     delta = dq
-    for k in range(last, -1, -1):
+    for k in range(len(net.weights) - 1, -1, -1):
         grads[2 * k] = act[k].T @ delta
         grads[2 * k + 1] = np.add.reduce(delta, axis=0)
         if k > 0:

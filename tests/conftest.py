@@ -9,22 +9,41 @@ stay exact.
 """
 
 import ctypes
-from datetime import datetime, timezone
+from collections import namedtuple
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rtp_arb import BatteryConfig, PriceSeries, experiment, greedy_rollout, network
+from rtp_arb import BatteryConfig, FeedSamples, PriceSeries, experiment, greedy_rollout, network
 
 START = datetime(2018, 1, 1, tzinfo=timezone.utc)
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+MICROSECOND = timedelta(microseconds=1)
+
+#: One 5-minute reading as a record: the form the former per-record feed
+#: paths took, which the reference tests keep.
+FiveMinuteSample = namedtuple("FiveMinuteSample", "timestamp_utc price_cents_per_kwh")
 
 GRID = 64  # dyadic denominator for exact-arithmetic strategies
 
 
 def make_series(prices, start=START) -> PriceSeries:
     return PriceSeries.from_prices(start, prices)
+
+
+def feed_columns(pairs) -> FeedSamples:
+    """The :class:`FeedSamples` of (UTC datetime, price) pairs, records among
+    them, in the given order."""
+    pairs = list(pairs)
+    return FeedSamples([(ts - EPOCH) // MICROSECOND for ts, _ in pairs], [p for _, p in pairs])
+
+
+def feed_stamps(samples: FeedSamples) -> list[datetime]:
+    """The UTC datetimes of the ``micros`` column."""
+    return [EPOCH + m * MICROSECOND for m in samples.micros.tolist()]
 
 
 def random_walk(seed: int, hours: int) -> PriceSeries:

@@ -19,6 +19,7 @@ from rtp_arb import (
     Action,
     AdamState,
     BatteryConfig,
+    FeedSamples,
     Hyperparams,
     ObservationNormalizer,
     ReplayBuffer,
@@ -318,10 +319,11 @@ def test_criterion_7_ingestion_fixture(tmp_path):
     write_price_csv(series, path)
     round_trip = read_price_csv(path) == series
 
-    gap_samples = [s for s in samples] + [
-        type(samples[0])(s.timestamp_utc + timedelta(hours=3), s.price_cents_per_kwh + 2.0)
-        for s in samples[12:]
-    ]
+    # the second hour's samples again, 3 hours later and 2 cents dearer
+    gap_samples = FeedSamples(
+        np.concatenate([samples.micros, samples.micros[12:] + 3 * 3_600_000_000]),
+        np.concatenate([samples.prices, samples.prices[12:] + 2.0]),
+    )
     gap_series, gap_rep = aggregate_hourly(gap_samples)
     gap_hours = (fixture_start + timedelta(hours=2), fixture_start + timedelta(hours=3))
     interpolated = (

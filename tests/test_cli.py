@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import feed_columns
 from rtp_arb import (
     AdamState,
     BatteryConfig,
-    FiveMinuteSample,
     Hyperparams,
     ObservationNormalizer,
     PriceSeries,
@@ -471,14 +471,8 @@ class TestFetchCommand:
     def test_fetch_writes_cache(self, tmp_path, capsys, clean_env, monkeypatch):
         def fake_feed(start, end, endpoint):
             assert endpoint == "https://feed.test/api"
-            out = []
-            for hour in range(48):
-                base = start + timedelta(hours=hour)
-                out += [
-                    FiveMinuteSample(base + timedelta(minutes=5 * i), float(hour % 24))
-                    for i in range(12)
-                ]
-            return out
+            pairs = [(start + timedelta(minutes=5 * i), float(i // 12 % 24)) for i in range(48 * 12)]
+            return feed_columns(pairs)
 
         monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", fake_feed)
         code = run(
@@ -617,20 +611,14 @@ class TestWorkflow:
         out_dir = tmp_path / "out"
         code, prices = self.train(tmp_path, 2021, out_dir)
         assert code == 0
-        capsys.readouterr()
-        code = run(
-            [
-                "eval",
-                "--checkpoint",
-                str(out_dir / "agent_2021.ckpt"),
-                "--prices",
-                prices,
-                "--day",
-                "January 2",
-            ]
-        )
-        assert code == 1
-        assert "YYYY-MM-DD" in capsys.readouterr().err
+        argv = ["eval", "--checkpoint", str(out_dir / "agent_2021.ckpt"), "--prices", prices, "--out-dir", str(out_dir)]
+        # then 2021-01-02, a day of the series, in the spellings that Python
+        # 3.11's date.fromisoformat also reads, and with Arabic-Indic digits
+        for day in ["January 2", "20210102", "2020W536", "2020-W53-6", "\u0662\u0660\u0662\u0661-01-02"]:
+            capsys.readouterr()
+            assert run(argv + ["--day", day]) == 1
+            assert capsys.readouterr().err == f"error: --day must be YYYY-MM-DD, got {day!r}\n"
+            assert not (out_dir / "daily_policy.csv").exists()
 
 
 class TestManifestAndPlotErrors:

@@ -1,16 +1,21 @@
-"""``eval``, ``cross-test``, ``oracle`` and ``plot`` end to end on drawn inputs.
+"""Every subcommand end to end on drawn inputs.
 
 Corrupted checkpoints (header bytes, payload bytes, NaN and inf
 parameters), manifests with bad paths and years, short price series, config
-files with bad keys, values and bytes, and corrupted result CSVs go through
-``cli.run``. The only outcomes allowed are exit 0, or exit 1 or 2 with an
-``error:`` line and no traceback: an exception that escapes ``run`` fails
-the test as it would end the command in a traceback.
+files with bad keys, values and bytes, corrupted result CSVs, training knobs
+(oversized ones among them) on extreme prices, and feed bodies on a stubbed
+transport go through ``cli.run``. The only outcomes allowed are exit 0, or
+exit 1 or 2 with an ``error:`` line and no traceback: an exception that
+escapes ``run`` fails the test as it would end the command in a traceback.
 """
 
+import functools
+import itertools
+import json
 import math
 import re
 import struct
+import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
 
 import numpy as np
@@ -26,6 +31,8 @@ from rtp_arb import (
     PriceSeries,
     RtpArbError,
     TrainingCurve,
+    charts,
+    fetch_five_minute_feed,
     init_network,
     load_checkpoint,
     save_checkpoint,
@@ -324,7 +331,9 @@ def test_plot_on_drawn_result_files(tmp_path_factory, capsys, data):
         if data.draw(st.booleans(), label=f"with {name}"):
             write(data.draw(result), d / name)
             (d / name).write_bytes(data.draw(corrupted((d / name).read_bytes())))
-    assert_clean_exit(["plot", "--in", str(d)], capsys)
+    if assert_clean_exit(["plot", "--in", str(d)], capsys) == 0:
+        for svg in d.glob("*.svg"):
+            assert not re.search(rb"\b(nan|inf)\b", svg.read_bytes()), svg.name
 
 
 def test_plot_of_a_constant_subnormal_curve(tmp_path, capsys):
@@ -332,6 +341,39 @@ def test_plot_of_a_constant_subnormal_curve(tmp_path, capsys):
     # and the scale divided by the empty span
     write_training_curves_csv([TrainingCurve(2015, ((0, 5e-324),))], tmp_path / TRAINING_CURVES_CSV)
     assert assert_clean_exit(["plot", "--in", str(tmp_path)], capsys) == 0
+
+
+def assert_inside_the_box(svg_path):
+    """Every coordinate of the chart is a finite number inside its WIDTH x HEIGHT box."""
+    for el in ET.parse(svg_path).iter():
+        xs = [el.get(a) for a in ("x", "x1", "x2") if el.get(a) is not None]
+        ys = [el.get(a) for a in ("y", "y1", "y2") if el.get(a) is not None]
+        for pair in (el.get("points") or "").split():
+            xs.append(pair.split(",")[0])
+            ys.append(pair.split(",")[1])
+        if el.tag.endswith("rect"):
+            xs.append(float(el.get("x")) + float(el.get("width")))
+            ys.append(float(el.get("y")) + float(el.get("height")))
+        assert all(0.0 <= float(v) <= charts.WIDTH for v in xs), (el.tag, xs)
+        assert all(0.0 <= float(v) <= charts.HEIGHT for v in ys), (el.tag, ys)
+
+
+@pytest.mark.parametrize(
+    "render",
+    [
+        # spans below the float range's resolution and past its end, and a
+        # one-value axis whose padding would leave it
+        functools.partial(charts.line_chart, [charts.Series("a", [0, 1], [0.0, 5e-324])], "t", "x", "y"),
+        functools.partial(charts.line_chart, [charts.Series("a", [0, 1], [2.3e-308, 2.4e-308])], "t", "x", "y"),
+        functools.partial(charts.line_chart, [charts.Series("a", [0, 1], [-1.7e308, 1.7e308])], "t", "x", "y"),
+        functools.partial(charts.line_chart, [charts.Series("a", [0, 1], [1.7e308, 1.7e308])], "t", "x", "y"),
+        functools.partial(charts.bar_chart, ["a", "b"], [1e308, -1e308], "t", "y"),
+    ],
+)
+def test_charts_of_spans_beyond_the_float_range(tmp_path, render):
+    render(tmp_path / "c.svg")
+    assert_inside_the_box(tmp_path / "c.svg")
+    assert not re.search(rb"\b(nan|inf)\b", (tmp_path / "c.svg").read_bytes())
 
 
 @pytest.mark.parametrize(
@@ -344,3 +386,127 @@ def test_plot_of_a_constant_subnormal_curve(tmp_path, capsys):
 def test_plot_of_normalized_returns_past_the_float_range(tmp_path, capsys, raw):
     write_cross_test_csv(CrossTestMatrix((2021, 2022, 2023)[: len(raw)], np.array(raw)), tmp_path / "cross_test.csv")
     assert assert_clean_exit(["plot", "--in", str(tmp_path)], capsys) == 0
+
+
+#: 2**60: numpy refuses arrays of that many entries at once, touching no memory
+HUGE = str(2**60)
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--buffer-capacity", HUGE, f"buffer_capacity {HUGE} is too large: "),
+        ("--window-hours", HUGE, f"window_hours {HUGE} is too large: "),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        # the first update sends the net past the float range (found by the fuzz below)
+        ("--learning-rate", "1e300", "training left the float range at step 2: overflow"),
+    ],
+)
+def test_train_with_a_knob_out_of_range(tmp_path, capsys, flag, value, message):
+    prices = tmp_path / "p.csv"
+    write_price_csv(PriceSeries(datetime(2021, 1, 1, tzinfo=timezone.utc), [1.0, 5.0, 2.0]), prices)
+    argv = ["train", "--prices", str(prices), "--out-dir", str(tmp_path), "--steps", "10", "--eval-every", "5"]
+    code = run(argv + ["--learning-starts", "1", "--update-every", "1", "--batch-size", "1", flag, value])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err, err
+    assert err.startswith(f"error: {message}"), err
+    assert not list(tmp_path.glob("*.ckpt"))
+
+
+#: per training knob: cheap working values, and values each of which is
+#: wrong or extreme on its own
+TRAIN_KNOBS = {
+    "--steps": (["64", "128", "16"], ["2", "0", "-5", "1_0"]),
+    "--eval-every": (["16", "32", "64"], ["1", "3", "0"]),
+    "--window-hours": (["1", "4", "24"], ["0", "200", HUGE]),
+    "--buffer-capacity": (["64", "16"], ["1", "0", HUGE]),
+    "--batch-size": (["8", "4"], ["1", "0", "65"]),
+    "--learning-starts": (["8", "1"], ["1000"]),
+    "--update-every": (["1", "2"], ["1000", "0"]),
+    "--target-sync-every": (["1", "10"], ["0"]),
+    "--gamma": (["0.99", "0.5"], ["0", "1", "1.5", "nan"]),
+    "--learning-rate": (["1e-4", "1e-2"], ["1", "1e300", "inf", "0"]),
+    "--epsilon-start": (["1.0", "0.5"], ["0", "2", "nan"]),
+    "--epsilon-decay-fraction": (["0.1", "1"], ["0", "1e-300"]),
+    "--capacity-kwh": (["4", "2"], ["1e-3", "1e300", "nan", "5e-324"]),
+    "--rate-kw": (["2", "1"], ["1e-300", "1e300"]),
+    "--seed": (["0", "7"], ["-1", str(2**64), str(2**200)]),
+}
+#: prices past the float range's square root and near its ends, and tiny ones
+EXTREME_PRICES = [0.0, -0.0, 5e-324, 1e-300, 1e153, -1e153, 1e307, -1e307, 1e308, -1e308]
+TRAIN_PRICES = st.one_of(
+    st.lists(st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EXTREME_PRICES)), min_size=2, max_size=48),
+    st.builds(lambda p, n: [p] * n, st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EXTREME_PRICES)), st.integers(2, 48)),
+    st.lists(st.sampled_from(EXTREME_PRICES), min_size=2, max_size=2),
+)
+
+
+@FUZZ
+@given(data=st.data())
+def test_train_on_drawn_prices_and_knobs(tmp_path_factory, capsys, data):
+    d = tmp_path_factory.mktemp("train")
+    write_price_csv(PriceSeries(datetime(2021, 1, 1, tzinfo=timezone.utc), data.draw(TRAIN_PRICES)), d / "p.csv")
+    argv = ["train", "--prices", str(d / "p.csv"), "--out-dir", str(d / "out")]
+    # at most two knobs out of the working values, so most runs train
+    wrong = data.draw(st.sets(st.sampled_from(sorted(TRAIN_KNOBS)), max_size=2), label="wrong knobs")
+    for flag, (good, bad) in TRAIN_KNOBS.items():
+        argv += [flag, data.draw(st.sampled_from(bad if flag in wrong else good), label=flag)]
+    assert_clean_exit(argv, capsys)
+
+
+#: the first, a usual and the last year that fetch takes
+YEARS = ["2", "2019", "9998"]
+#: record fields no feed writes: off-grid, out of range, fractional, boolean, not numbers
+BAD_MILLIS = st.sampled_from([1, -1, 1.5, True, None, "soon", "", "1e3", 2**64, -(2**63) - 1, "99999999999999999999"])
+BAD_PRICES = st.sampled_from(["abc", "NaN", "inf", "1e999", True, None, "", [1.0]])
+
+
+@st.composite
+def feed_bodies(draw, year: int) -> str | None:
+    """One chunk body: mostly a JSON array of 0-30 records on the year's
+    5-minute grid with prices extreme among them, else malformed JSON, a
+    non-array, a record with a bad field, or None for a failed request."""
+    how = draw(mostly(st.just("records"), st.sampled_from(["json", "shape", "field", "fail"])))
+    if how == "json":
+        return draw(st.sampled_from(["", "[", "{]", "[1,]", "\x00"]))
+    if how == "shape":
+        return json.dumps(draw(st.sampled_from([{}, 1, "x", None, [1], [[]], [{"price": "1"}]])))
+    if how == "fail":
+        return None
+    base = int(datetime(year, 1, 1, tzinfo=timezone.utc).timestamp()) * 1000
+    # a few hours at the start of the year, a little before it too
+    steps = st.integers(-24, 24 * 12 * 3)
+    price = st.one_of(st.floats(-50.0, 50.0), st.sampled_from(EXTREME_PRICES))
+    records = [
+        {"millisUTC": str(base + 300_000 * k), "price": draw(st.sampled_from([str, float]))(p)}
+        for k, p in draw(st.lists(st.tuples(steps, price), max_size=30))
+    ]
+    if how == "field":
+        bad = {"millisUTC": draw(BAD_MILLIS), "price": "1.0"} if draw(st.booleans()) else {"millisUTC": str(base), "price": draw(BAD_PRICES)}
+        records.insert(draw(st.integers(0, len(records))), bad)
+    return json.dumps(records)
+
+
+def cycling(bodies):
+    """A transport answering requests with ``bodies`` in turn; None fails the request."""
+    it = itertools.cycle(bodies)
+
+    def http_get(url: str) -> str:
+        body = next(it)
+        if body is None:
+            raise OSError("connection reset")
+        return body
+
+    return http_get
+
+
+@FUZZ
+@given(data=st.data())
+def test_fetch_on_drawn_feed_bodies(tmp_path_factory, capsys, monkeypatch, data):
+    d = tmp_path_factory.mktemp("fetch")
+    year = data.draw(st.sampled_from(YEARS), label="year")
+    bodies = data.draw(st.lists(feed_bodies(int(year)), min_size=1, max_size=3), label="bodies")
+    feed = functools.partial(fetch_five_minute_feed, http_get=cycling(bodies), sleep=lambda s: None)
+    monkeypatch.setattr("rtp_arb.cli.fetch_five_minute_feed", feed)
+    if assert_clean_exit(["fetch", "--year", year, "--data-dir", str(d)], capsys) == 0:
+        assert (d / f"comed_{year}.csv").exists()

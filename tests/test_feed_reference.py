@@ -24,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EPOCH, MICROSECOND, FiveMinuteSample, feed_columns
 from rtp_arb import (
     FeedSamples,
-    FiveMinuteSample,
     InsufficientDataError,
     ParseError,
     aggregate_hourly,
@@ -38,8 +38,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from workloads import ingest_feed  # noqa: E402
 
 UTC = timezone.utc
-EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
-MICROSECOND = timedelta(microseconds=1)
 # 21:00 in the feed's zone the evening before its spring-forward night, so a
 # range of more than three hours spans two feed-zone days
 BASE = datetime(2019, 3, 10, 3, tzinfo=UTC)
@@ -110,7 +108,7 @@ def assert_same_as_reference(date_start, date_end, bodies):
     assert isinstance(got, FeedSamples)
     assert got.micros.tolist() == [(s.timestamp_utc - EPOCH) // MICROSECOND for s in want]
     assert got.prices.tobytes() == np.array([s.price_cents_per_kwh for s in want]).tobytes()
-    assert aggregate_or_error(got) == aggregate_or_error(want)
+    assert aggregate_or_error(got) == aggregate_or_error(feed_columns(want))
 
 
 prices = st.one_of(

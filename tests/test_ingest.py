@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import EPOCH, MICROSECOND, feed_columns, feed_stamps
 from rtp_arb import (
     FeedSamples,
-    FiveMinuteSample,
     InsufficientDataError,
     ParseError,
     PriceSeries,
@@ -57,10 +57,10 @@ class TestFeedParsing:
             T0, T0 + timedelta(hours=2), http_get=lambda url: body, sleep=no_sleep
         )
         assert len(samples) == 24
-        stamps = [s.timestamp_utc for s in samples]
+        stamps = feed_stamps(samples)
         assert stamps == sorted(stamps)
-        assert samples[0].timestamp_utc == T0
-        assert samples[0].price_cents_per_kwh == 1.0
+        assert stamps[0] == T0
+        assert samples.prices[0] == 1.0
 
     def test_non_numeric_price_names_record(self):
         body = json.dumps([{"millisUTC": str(int(T0.timestamp() * 1000)), "price": "abc"}])
@@ -154,38 +154,14 @@ class TestFeedSamples:
         with pytest.raises(AttributeError):
             samples.prices = np.zeros(24)
 
-    def test_index_gives_a_record_and_slice_a_container(self):
-        samples = self.fetch()
-        assert samples[0] == FiveMinuteSample(T0, 0.0)
-        assert samples[-1] == FiveMinuteSample(T0 + timedelta(minutes=115), 23.0)
-        assert samples[0].timestamp_utc.tzinfo is timezone.utc
-        tail = samples[22:]
-        assert isinstance(tail, FeedSamples) and len(tail) == 2
-        assert list(tail) == [samples[22], samples[23]]
-        with pytest.raises(IndexError):
-            samples[24]
-
     def test_microseconds_convert_exactly(self):
-        epoch = datetime(1970, 1, 1, tzinfo=UTC)
         stamps = [
             datetime(1, 1, 1, tzinfo=UTC),
             T0 + timedelta(microseconds=1),
             datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=UTC),
         ]
-        samples = FeedSamples([(ts - epoch) // timedelta(microseconds=1) for ts in stamps], [0.0] * 3)
-        assert [s.timestamp_utc for s in samples] == stamps
-
-    def test_records_and_columns_aggregate_alike(self):
-        samples = self.fetch()
-        series, report = aggregate_hourly(samples)
-        assert list(series.prices) == [5.5, 17.5]
-        assert (series, report) == aggregate_hourly(list(samples))
-
-    @pytest.mark.parametrize("tz", [None, FEED_TIMEZONE])
-    def test_records_must_start_in_utc(self, tz):
-        records = [FiveMinuteSample(ts.replace(tzinfo=tz), 1.0) for ts, _ in five_minute_grid(T0, [0] * 24)]
-        with pytest.raises(ValidationError, match="not UTC"):
-            aggregate_hourly(records)
+        samples = FeedSamples([(ts - EPOCH) // MICROSECOND for ts in stamps], [0.0] * 3)
+        assert feed_stamps(samples) == stamps
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="equal"):
@@ -227,9 +203,7 @@ class TestFetchRange:
         samples = fetch_five_minute_feed(
             T0, T0 + timedelta(minutes=30), http_get=lambda url: body, sleep=no_sleep
         )
-        assert [s.timestamp_utc for s in samples] == [
-            T0 + timedelta(minutes=5 * i) for i in range(6)
-        ]
+        assert feed_stamps(samples) == [T0 + timedelta(minutes=5 * i) for i in range(6)]
 
     def test_duplicate_timestamps_deduplicated(self):
         pairs = five_minute_grid(T0, [1.0, 2.0])
@@ -330,8 +304,8 @@ class TestDefaultTransport:
         feed_server.body = wire(five_minute_grid(self.DAY, prices))
         end = self.DAY + timedelta(days=1)
         samples = fetch_five_minute_feed(self.DAY, end, endpoint=endpoint, sleep=no_sleep)
-        assert [s.price_cents_per_kwh for s in samples] == prices
-        assert samples[0].timestamp_utc == self.DAY
+        assert samples.prices.tolist() == prices
+        assert feed_stamps(samples)[0] == self.DAY
         assert feed_server.urls == [_feed_url(endpoint, self.DAY, end)]
 
     def test_server_error_is_retried_then_raised(self, feed_server):
@@ -350,9 +324,7 @@ class TestDefaultTransport:
 
 class TestAggregateHourly:
     def test_constant_hour_mean(self):
-        samples = [
-            FiveMinuteSample(ts, p) for ts, p in five_minute_grid(T0, [2.0] * 12 + [4.0] * 12)
-        ]
+        samples = feed_columns(five_minute_grid(T0, [2.0] * 12 + [4.0] * 12))
         series, report = aggregate_hourly(samples)
         assert series.prices[0] == 2.0
         assert report.hours_emitted == 2
@@ -361,14 +333,13 @@ class TestAggregateHourly:
 
     def test_mean_of_one_through_twelve(self):
         prices = [float(i) for i in range(1, 13)] + [0.0] * 12
-        samples = [FiveMinuteSample(ts, p) for ts, p in five_minute_grid(T0, prices)]
-        series, _ = aggregate_hourly(samples)
+        series, _ = aggregate_hourly(feed_columns(five_minute_grid(T0, prices)))
         assert series.prices[0] == 6.5
 
     def test_missing_hour_interpolated_and_flagged(self):
         pairs = five_minute_grid(T0, [2.0] * 12)
         pairs += five_minute_grid(T0 + timedelta(hours=2), [4.0] * 12)
-        series, report = aggregate_hourly([FiveMinuteSample(ts, p) for ts, p in pairs])
+        series, report = aggregate_hourly(feed_columns(pairs))
         assert report.hours_emitted == 3
         assert series.prices[1] == 3.0
         assert report.hours_interpolated == (T0 + timedelta(hours=1),)
@@ -376,30 +347,28 @@ class TestAggregateHourly:
     def test_partial_hour_still_counts_as_sampled(self):
         pairs = five_minute_grid(T0, [8.0])
         pairs += five_minute_grid(T0 + timedelta(hours=1), [2.0] * 12)
-        series, report = aggregate_hourly([FiveMinuteSample(ts, p) for ts, p in pairs])
+        series, report = aggregate_hourly(feed_columns(pairs))
         assert series.prices[0] == 8.0
         assert report.samples_per_hour_min == 1
         assert report.hours_interpolated == ()
 
     def test_empty_input_rejected(self):
         with pytest.raises(InsufficientDataError):
-            aggregate_hourly([])
+            aggregate_hourly(FeedSamples([], []))
 
     def test_single_sampled_hour_rejected(self):
-        samples = [FiveMinuteSample(ts, p) for ts, p in five_minute_grid(T0, [1.0] * 12)]
         with pytest.raises(InsufficientDataError, match="at least 2"):
-            aggregate_hourly(samples)
+            aggregate_hourly(feed_columns(five_minute_grid(T0, [1.0] * 12)))
 
     def test_unsorted_samples_rejected(self):
         a, b = five_minute_grid(T0, [1.0, 2.0])
-        with pytest.raises(ValueError, match="ascending"):
-            aggregate_hourly([FiveMinuteSample(*b), FiveMinuteSample(*a)])
+        with pytest.raises(ValueError, match=r"ascending; 2018-06-01T00:05:00\+00:00 then 2018-06-01T00:00:00\+00:00"):
+            aggregate_hourly(feed_columns([b, a]))
 
     def test_hour_means_bounded_by_their_samples(self):
         rng = np.random.default_rng(17)
         prices = rng.uniform(-2.0, 14.0, size=6 * 12)
-        samples = [FiveMinuteSample(ts, p) for ts, p in five_minute_grid(T0, prices)]
-        series, report = aggregate_hourly(samples)
+        series, report = aggregate_hourly(feed_columns(five_minute_grid(T0, prices)))
         assert report.hours_interpolated == ()
         by_hour = prices.reshape(6, 12)
         assert np.all(series.prices >= by_hour.min(axis=1) - 1e-12)

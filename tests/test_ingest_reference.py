@@ -4,10 +4,11 @@
 first sample's hour and takes each hour's count and price sum from
 ``np.bincount``, which adds an hour's prices in sample order starting from
 0.0. The loop below, which floored every timestamp to its hour and added into
-numpy scalars one sample at a time, is the reference: on drawn samples (several
-per hour, at any offset within the hour, hours with none, negative and
-repeated prices) and on a year of the 5-minute feed, both must give the same
-price bytes, the same start hour and an equal ``IngestReport``.
+numpy scalars one sample at a time, is the reference. It walks a list of
+records; ``aggregate_hourly`` gets the same samples as columns. On drawn
+samples (several per hour, at any offset within the hour, hours with none,
+negative and repeated prices) and on a year of the 5-minute feed, both must
+give the same price bytes, the same start hour and an equal ``IngestReport``.
 """
 
 from datetime import datetime, timedelta, timezone
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtp_arb import FiveMinuteSample, InsufficientDataError, IngestReport, aggregate_hourly
+from conftest import FiveMinuteSample, feed_columns
+from rtp_arb import InsufficientDataError, IngestReport, aggregate_hourly
 from rtp_arb.env import HOUR
 
 UTC = timezone.utc
@@ -61,7 +63,7 @@ def reference_aggregate(samples):
 
 def assert_same_as_reference(samples):
     start, prices, report = reference_aggregate(samples)
-    series, got = aggregate_hourly(samples)
+    series, got = aggregate_hourly(feed_columns(samples))
     assert series.start == start
     assert series.prices.tobytes() == prices.tobytes()
     assert got == report
@@ -95,7 +97,7 @@ def test_binning_matches_the_per_sample_loop(drawn):
         reference_aggregate(drawn)
     except InsufficientDataError:
         with pytest.raises(InsufficientDataError):
-            aggregate_hourly(drawn)
+            aggregate_hourly(feed_columns(drawn))
         return
     assert_same_as_reference(drawn)
 
@@ -107,7 +109,7 @@ def test_several_samples_an_hour_and_missing_hours():
         for m, p in [(0, 0.1), (5, 0.2), (55, -0.3), (125, 0.7), (130, 0.7), (300, 1e-3)]
     ]
     assert_same_as_reference(drawn)
-    series, report = aggregate_hourly(drawn)
+    series, report = aggregate_hourly(feed_columns(drawn))
     assert report.hours_interpolated == (base + HOUR, base + 3 * HOUR, base + 4 * HOUR)
 
 
@@ -124,4 +126,4 @@ def test_a_year_of_the_five_minute_feed():
         if k // 12 not in dropped
     ]
     assert_same_as_reference(drawn)
-    assert len(aggregate_hourly(drawn)[1].hours_interpolated) == 6
+    assert len(aggregate_hourly(feed_columns(drawn))[1].hours_interpolated) == 6
