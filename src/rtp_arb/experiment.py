@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime, timezone
 from pathlib import Path
@@ -59,11 +60,13 @@ DAILY_POLICY_HEADER = "hour_start_utc,price_cents_per_kwh,action,charge_kwh_afte
 DEFAULT_TOTAL_STEPS = 200_000
 DEFAULT_EVAL_EVERY = 10_000
 
-#: Hours per batched forward in greedy evaluation (times the charge levels:
-#: 192 rows for the default battery). Blocks bound the working set whatever
-#: the series length, and on the rollout's preallocated workspace 32 hours
-#: measured fastest: a year of rollouts took longer in 64- and 96-hour blocks.
-GREEDY_BLOCK_HOURS = 32
+#: Rows per batched forward in greedy evaluation: a block holds as many
+#: whole hours as fit, at least one, each a row per charge level (32 hours
+#: of the default battery's 6 levels). Blocks bound the working set whatever
+#: the series length and the grid, and on the rollout's preallocated
+#: workspace 32 hours measured fastest at the default battery: a year of
+#: rollouts took longer in 64- and 96-hour blocks.
+GREEDY_BLOCK_ROWS = 192
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -177,12 +180,12 @@ def greedy_rollout(
             pairs = norm.price_windows(prices.prices, config.window_hours + 1)
             # Block row h * n_levels + j is (hour lo + h, levels[j]): the charge
             # column is the same in every block, the price columns are pair rows.
-            block_hours = min(GREEDY_BLOCK_HOURS, n_steps)
+            block_hours = min(max(GREEDY_BLOCK_ROWS // n_levels, 1), n_steps)
             fwd = BlockForward(net, block_hours * n_levels)
             fwd.x[:, -1] = np.tile(levels, block_hours) / norm.charge_scale
             windows = fwd.x.reshape(block_hours, n_levels, -1)[:, :, :-1]
-            for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
-                hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
+            for lo in range(0, n_steps, block_hours):
+                hi = min(lo + block_hours, n_steps)
                 windows[: hi - lo] = pairs[lo + 1 : hi + 1, None, :-1]
                 greedy = fwd((hi - lo) * n_levels).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
                 for n, row in enumerate(greedy, lo):
@@ -458,8 +461,16 @@ def write_training_curves_csv(curves: Sequence[TrainingCurve], path) -> None:
     write_lines(path, lines)
 
 
+def _curve_step(text: str) -> int:
+    # a step is drawn on a float axis: one past the float range has no place there
+    step = whole_number(text)
+    if step > sys.float_info.max:
+        raise ValueError("step is beyond the float range")
+    return step
+
+
 def read_training_curves_csv(path) -> list[TrainingCurve]:
-    _, (years, steps, returns) = read_columns(path, TRAINING_CURVES_HEADER, (whole_number, whole_number, float))
+    _, (years, steps, returns) = read_columns(path, TRAINING_CURVES_HEADER, (whole_number, _curve_step, float))
     by_year: dict[int, list[tuple[int, int, float]]] = {}
     for row_no, (year, step, ret) in enumerate(zip(years, steps, returns.tolist()), start=2):
         by_year.setdefault(year, []).append((row_no, step, ret))

@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, currently_in_test_context, event, given, settings
+from hypothesis import HealthCheck, assume, currently_in_test_context, event, example, given, settings
 from hypothesis import strategies as st
 
 from rtp_arb import (
@@ -44,6 +44,7 @@ from rtp_arb.env import ACTIONS
 from rtp_arb.experiment import (
     RESULTS,
     TRAINING_CURVES_CSV,
+    TRAINING_CURVES_HEADER,
     checkpoint_config,
     write_cross_test_csv,
     write_training_curves_csv,
@@ -271,7 +272,7 @@ RESULT_YEARS = st.lists(st.integers(2015, 2024), min_size=1, max_size=3, unique=
 def training_curves(draw) -> list:
     curves = []
     for year in draw(RESULT_YEARS):
-        steps = draw(st.lists(st.integers(1, 10**6), max_size=4, unique=True))
+        steps = draw(st.lists(st.integers(1, 10**6) | st.integers(1, 10**400), max_size=4, unique=True))
         curves.append(TrainingCurve(year, tuple((s, draw(RESULT_FLOATS)) for s in [0, *sorted(steps)])))
     return curves
 
@@ -323,17 +324,30 @@ def corrupted(draw, blob: bytes) -> bytes:
 
 
 @FUZZ
-@given(data=st.data())
-def test_plot_on_drawn_result_files(tmp_path_factory, capsys, data):
+@given(data=st.data(), fixed=st.none())
+# a step past the float range: the charts' float axis once raised OverflowError
+@example(data=None, fixed={TRAINING_CURVES_CSV: f"{TRAINING_CURVES_HEADER}\n2020,0,1.0\n2020,{10**400},2.0\n"})
+def test_plot_on_drawn_result_files(tmp_path_factory, capsys, data, fixed):
     d = tmp_path_factory.mktemp("plot")
+    if fixed is not None:
+        for name, text in fixed.items():
+            (d / name).write_text(text)
     results = (training_curves(), cross_test_matrices(), daily_policy_traces())
     for (name, write, _, _), result in zip(RESULTS, results):
-        if data.draw(st.booleans(), label=f"with {name}"):
+        if data is not None and data.draw(st.booleans(), label=f"with {name}"):
             write(data.draw(result), d / name)
             (d / name).write_bytes(data.draw(corrupted((d / name).read_bytes())))
     if assert_clean_exit(["plot", "--in", str(d)], capsys) == 0:
         for svg in d.glob("*.svg"):
             assert not re.search(rb"\b(nan|inf)\b", svg.read_bytes()), svg.name
+
+
+def test_plot_of_a_step_beyond_the_float_range(tmp_path, capsys):
+    curves = [TrainingCurve(2020, ((0, 1.0), (10**400, 2.0)))]
+    write_training_curves_csv(curves, tmp_path / TRAINING_CURVES_CSV)
+    assert run(["plot", "--in", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith("training_curves.csv: row 3: step is beyond the float range\n")
+    assert not list(tmp_path.glob("*.svg"))
 
 
 def test_plot_of_a_constant_subnormal_curve(tmp_path, capsys):

@@ -26,18 +26,20 @@ from conftest import (
     random_walk,
 )
 from rtp_arb import (
+    BatteryConfig,
     ObservationNormalizer,
     QNetwork,
     forward,
     forward_batch,
     greedy_rollout,
     init_network,
+    reachable_charges,
     reset,
     select_action,
     step,
 )
 from rtp_arb.env import _observation, charge_grid
-from rtp_arb.experiment import GREEDY_BLOCK_HOURS
+from rtp_arb.experiment import GREEDY_BLOCK_ROWS
 
 
 def stepwise_greedy_rollout(net, norm, prices, config):
@@ -56,15 +58,37 @@ def stepwise_greedy_rollout(net, norm, prices, config):
     return total, actions, charges
 
 
+def block_hours(config):
+    """Hours per greedy block on ``config``'s grid: as many as fit in the rows, at least one."""
+    return max(GREEDY_BLOCK_ROWS // len(reachable_charges(config)), 1)
+
+
+#: 32: the default battery's 6 levels fill 192 rows
+BLOCK_HOURS = block_hours(BatteryConfig())
+
+#: 250 levels: more than one block's rows, so every block is one hour
+WIDE = BatteryConfig(capacity_kwh=249.0, rate_kw=1.0, window_hours=3)
+
 # M = 2; shorter than most windows; within one block; one step past a block;
-# many blocks and a partial one
-LENGTHS = [2, 5, GREEDY_BLOCK_HOURS, GREEDY_BLOCK_HOURS + 2, 10 * GREEDY_BLOCK_HOURS + 17]
+# many blocks and a partial one (block bounds of the default battery)
+LENGTHS = [2, 5, BLOCK_HOURS, BLOCK_HOURS + 2, 10 * BLOCK_HOURS + 17]
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.capacity_kwh}-{c.rate_kw}-{c.window_hours}")
 @pytest.mark.parametrize("hours", LENGTHS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_stepwise_rollout(config, hours, seed):
+    assert_matches_stepwise_rollout(config, hours, seed)
+
+
+@pytest.mark.parametrize("hours", [2, 3, 9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matches_stepwise_rollout_in_one_hour_blocks(hours, seed):
+    assert block_hours(WIDE) == 1
+    assert_matches_stepwise_rollout(WIDE, hours, seed)
+
+
+def assert_matches_stepwise_rollout(config, hours, seed):
     prices = random_walk(seed + 100 * hours, hours)
     hidden = (64, 64) if seed == 0 else (8,)
     net = init_network(config.window_hours, seed, hidden_dims=hidden)
@@ -86,21 +110,25 @@ def former_blocks(norm, prices, config):
     each pair row repeated once per charge level, then the scaled levels."""
     levels, _, _, _ = charge_grid(prices, config)
     pairs = norm.price_windows(prices.prices, config.window_hours + 1)
-    scaled_levels = np.tile(levels, GREEDY_BLOCK_HOURS) / norm.charge_scale
+    scaled_levels = np.tile(levels, block_hours(config)) / norm.charge_scale
     n_steps = len(prices) - 1
-    for lo in range(0, n_steps, GREEDY_BLOCK_HOURS):
-        hi = min(lo + GREEDY_BLOCK_HOURS, n_steps)
+    for lo in range(0, n_steps, block_hours(config)):
+        hi = min(lo + block_hours(config), n_steps)
         x = np.repeat(pairs[lo + 1 : hi + 1], len(levels), axis=0)
         x[:, -1] = scaled_levels[: len(x)]
         yield x
 
 
-# M = 2 and 5; exactly one block; an odd-length last block; a year and a leap year
+# M = 2 and 5; exactly one block of the default battery; an odd-length last
+# block; a year and a leap year; exactly one block of each other battery;
+# blocks of one hour
 @pytest.mark.parametrize(
     "hours, config, hidden",
-    [(h, c, (64, 64)) for h in (2, 5, GREEDY_BLOCK_HOURS + 1, 3 * GREEDY_BLOCK_HOURS + 8) for c in CONFIGS]
+    [(h, c, (64, 64)) for h in (2, 5, BLOCK_HOURS + 1, 3 * BLOCK_HOURS + 8) for c in CONFIGS]
     + [(h, CONFIGS[0], hidden) for h in (8760, 8784) for hidden in ((64, 64), (16, 8))]
-    + [(3 * GREEDY_BLOCK_HOURS + 8, CONFIGS[1], hidden) for hidden in ((8,), (16, 8), (8, 16, 4))],
+    + [(3 * BLOCK_HOURS + 8, CONFIGS[1], hidden) for hidden in ((8,), (16, 8), (8, 16, 4))]
+    + [(block_hours(c) + 1, c, (64, 64)) for c in CONFIGS[1:]]
+    + [(h, WIDE, (16, 8)) for h in (2, 7)],
 )
 def test_block_q_values_are_forward_batch_bits(hours, config, hidden):
     # the workspace reuses its buffers from block to block; every block it
@@ -110,7 +138,8 @@ def test_block_q_values_are_forward_batch_bits(hours, config, hidden):
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
     _, blocks = greedy_blocks(net, norm, prices, config)
     want = list(former_blocks(norm, prices, config))
-    assert len(blocks) == len(want) == -(-(hours - 1) // GREEDY_BLOCK_HOURS)
+    assert len(blocks) == len(want) == -(-(hours - 1) // block_hours(config))
+    assert all(len(x) <= max(GREEDY_BLOCK_ROWS, len(reachable_charges(config))) for x, _ in blocks)
     for (x, q), block in zip(blocks, want):
         assert x.tobytes() == block.tobytes()
         assert q.tobytes() == forward_batch(net, block).tobytes()

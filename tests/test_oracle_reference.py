@@ -7,14 +7,15 @@ below is the reference: on drawn series and batteries both must give the
 same tie-broken plan and the same value bit for bit, including 2-level grids
 (rate at or above capacity), constant runs and other exact ties, and whole
 random-walk years. Prices large enough to overflow must raise exactly where
-the reference table stops being finite.
+the reference table stops being finite, at its highest such hour, whether
+or not the oracle's bound on its values lets it skip the per-row check.
 """
 
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -35,6 +36,7 @@ from rtp_arb import (
     hindsight_optimal,
     reachable_charges,
 )
+from rtp_arb.oracle import FINITE_BOUND
 
 
 def reference_charge_grid(config):
@@ -133,24 +135,52 @@ def test_random_walk_years_match_reference(config):
     assert_matches_reference(random_walk(0, 8760).prices, config)
 
 
-@settings(max_examples=100, deadline=None)
+#: prices of a few units scaled by 2**970 to 2**1020: the oracle's bound
+#: max(levels) * sum(|Δp|) falls on both sides of FINITE_BOUND, and the
+#: values overflow near the top
+SCALED_PRICES = st.builds(
+    lambda units, e: [u * 2.0**e for u in units],
+    st.lists(st.floats(-8.0, 8.0), min_size=2, max_size=12),
+    st.integers(970, 1020),
+)
+
+
+def oracle_bound(prices, config):
+    with np.errstate(over="ignore"):
+        return max(reachable_charges(config)) * float(np.abs(np.diff(prices)).sum())
+
+
+@settings(max_examples=150, deadline=None)
 @given(
-    prices=st.lists(
-        st.one_of(
-            st.floats(min_value=-1.7e308, max_value=1.7e308),
-            st.sampled_from([1e308, -1e308, 0.0, 1.0]),
+    prices=st.one_of(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-1.7e308, max_value=1.7e308),
+                st.sampled_from([1e308, -1e308, 0.0, 1.0]),
+            ),
+            min_size=2,
+            max_size=12,
         ),
-        min_size=2,
-        max_size=12,
+        SCALED_PRICES,
     ),
     config=st.sampled_from(CONFIGS),
 )
+# the bound just inside FINITE_BOUND (no row checked); just past it with every
+# value finite (each row checked); finite steps whose values overflow at hour 3
+@example(prices=[0.0, 2.0**995], config=CONFIGS[0])
+@example(prices=[0.0, 2.0**1000, 0.0], config=CONFIGS[0])
+@example(prices=[0.0, 1e308, 1e308, 0.0, 1e308], config=CONFIGS[0])
 def test_raises_exactly_where_the_reference_table_is_not_finite(prices, config):
     series = make_series(prices)
     with np.errstate(all="ignore"):
         _, _, values = reference_values(series, config)
-    if np.isfinite(values).all():
+    finite = np.isfinite(values).all(axis=1)
+    checked = oracle_bound(prices, config) > FINITE_BOUND
+    event(f"{'rows checked' if checked else 'no row checked'}, {'finite' if finite.all() else 'raises'}")
+    if finite.all():
         assert_matches_reference(prices, config)
     else:
-        with pytest.raises(ValidationError, match="not finite"):
+        assert checked
+        with pytest.raises(ValidationError, match="not finite") as info:
             hindsight_optimal(series, config)
+        assert info.value.position == np.flatnonzero(~finite)[-1]  # the highest such hour
