@@ -69,15 +69,16 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     hour where one occurs: such prices have no optimum. Each computed value
     is a rounded sum of at most M-1 terms, each at most
     ``max(levels) * |Δp|`` of its hour, so none leaves the float range while
-    ``max(levels) * sum(|Δp|)`` is at most ``FINITE_BOUND``: rounding adds
-    far less than the factor 2**24 left to spare. Only above that bound is
-    each row checked as it is made.
+    ``max(levels) * sum(|Δp|)``, summed over the sweep's own deltas in Python
+    floats, is at most ``FINITE_BOUND``: rounding adds far less than the
+    factor 2**24 left to spare. Only above that bound is each row checked
+    as it is made.
     """
     levels, succ, deltas, start = charge_grid(prices, config)
     n_levels = len(levels)
     cells = [(w, *s) for w, s in zip(levels, succ)]
-    with np.errstate(over="ignore"):
-        check = not levels[-1] * float(np.abs(np.diff(prices.prices)).sum()) <= FINITE_BOUND
+    # a float sum past the range is inf, which fails <= as NaN does: rows are checked
+    check = not levels[-1] * sum(map(abs, deltas)) <= FINITE_BOUND
 
     # codes holds the best action row by row from the last hour back: hour
     # n, level i sits at (len(deltas) - 1 - n) * n_levels + i

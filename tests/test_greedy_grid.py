@@ -73,22 +73,22 @@ WIDE = BatteryConfig(capacity_kwh=249.0, rate_kw=1.0, window_hours=3)
 # many blocks and a partial one (block bounds of the default battery)
 LENGTHS = [2, 5, BLOCK_HOURS, BLOCK_HOURS + 2, 10 * BLOCK_HOURS + 17]
 
+# those lengths on every battery; exactly one block and one step past a block
+# of each other battery; at 250 levels, blocks of one hour, so also many blocks
+STEPWISE_CASES = (
+    [(h, c) for c in CONFIGS for h in LENGTHS]
+    + [(block_hours(c) + k, c) for c in (*CONFIGS[1:], WIDE) for k in (1, 2)]
+    + [(9, WIDE)]
+)
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"{c.capacity_kwh}-{c.rate_kw}-{c.window_hours}")
-@pytest.mark.parametrize("hours", LENGTHS)
+
+@pytest.mark.parametrize(
+    "hours, config",
+    STEPWISE_CASES,
+    ids=[f"{h}-{c.capacity_kwh}-{c.rate_kw}-{c.window_hours}" for h, c in STEPWISE_CASES],
+)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_stepwise_rollout(config, hours, seed):
-    assert_matches_stepwise_rollout(config, hours, seed)
-
-
-@pytest.mark.parametrize("hours", [2, 3, 9])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_matches_stepwise_rollout_in_one_hour_blocks(hours, seed):
-    assert block_hours(WIDE) == 1
-    assert_matches_stepwise_rollout(WIDE, hours, seed)
-
-
-def assert_matches_stepwise_rollout(config, hours, seed):
     prices = random_walk(seed + 100 * hours, hours)
     hidden = (64, 64) if seed == 0 else (8,)
     net = init_network(config.window_hours, seed, hidden_dims=hidden)
