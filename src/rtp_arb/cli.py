@@ -42,7 +42,7 @@ from .experiment import (
     cross_test,
     daily_policy_trace,
     emit_outputs,
-    evaluate_greedy,
+    greedy_rollout,
     read_training_curves_csv,
     train_agent,
     write_cross_test_csv,
@@ -305,9 +305,9 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     series = read_price_csv(args.prices)
     config = checkpoint_config(ckpt)
-    ret = evaluate_greedy(ckpt, series, config)
+    rollout = greedy_rollout(ckpt.net, ckpt.norm, series, config)
     print(
-        f"greedy return on {args.prices}: {ret:.1f} cents "
+        f"greedy return on {args.prices}: {rollout[0]:.1f} cents "
         f"(battery {config.capacity_kwh:g} kWh at {config.rate_kw:g} kW)"
     )
     if args.day is not None:
@@ -318,7 +318,7 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             day = date.fromisoformat(args.day)
         except ValueError as exc:
             raise ConfigError(f"--day must be YYYY-MM-DD, got {args.day!r}") from exc
-        trace = daily_policy_trace(ckpt, series, config, day)
+        trace = daily_policy_trace(ckpt, series, config, day, rollout)
         csv_path, svg_path = emit_outputs(None, None, cfg.out_dir, trace)
         print(f"daily dispatch: {csv_path} and {svg_path}")
     return 0

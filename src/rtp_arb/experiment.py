@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, time as dtime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .dqn import (
 )
 # reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
 from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step
-from .errors import ConfigError, TrainingDivergedError, ValidationError
+from .errors import ConfigError, RtpArbError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
     BlockForward,
@@ -386,7 +387,25 @@ class CrossTestMatrix:
 def cross_test(
     checkpoints: Mapping[int, Checkpoint], series: Mapping[int, PriceSeries]
 ) -> CrossTestMatrix:
-    """Evaluate every agent on every year and normalize by same-year returns."""
+    """Evaluate every agent on every year and normalize by same-year returns.
+
+    The (agent, test year) cells are independent greedy rollouts, spread
+    over one process per usable CPU (``os.sched_getaffinity``), at most one
+    per cell: with ``k`` processes, share ``w`` takes every ``k``-th cell of
+    the row-major order from cell ``w``. This process evaluates share 0, and
+    a child made by :func:`os.fork` each other share: it reads the
+    checkpoints and series copy-on-write, so its memory is only the pages it
+    writes, and pipes back its pickled returns. Each cell is the same
+    :func:`evaluate_greedy` call as in one loop over the cells, so ``raw`` has
+    the same bits for any number of CPUs; with one CPU nothing is forked.
+
+    The error raised is the one that loop raises, that of the first failing
+    cell in row-major order, an agent's unusable battery metadata
+    (:func:`checkpoint_config`) failing at its first cell. A child that ends
+    without a result is an RtpArbError. No child outlives the call: each is
+    reaped on return, error or interrupt, and killed first unless its result
+    was read.
+    """
     if set(checkpoints) != set(series):
         raise ConfigError(
             f"checkpoint years {sorted(checkpoints)} do not match series years {sorted(series)}"
@@ -396,14 +415,101 @@ def cross_test(
         raise ConfigError(f"cross-test needs at least 2 years, got {len(years)}")
 
     n = len(years)
-    raw = np.empty((n, n))
-    for i, agent_year in enumerate(years):
-        ckpt = checkpoints[agent_year]
-        config = checkpoint_config(ckpt)
-        for j, test_year in enumerate(years):
-            raw[i, j] = evaluate_greedy(ckpt, series[test_year], config)
+    cells = range(n * n)
+    k = min(len(os.sched_getaffinity(0)), len(cells))
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
+    read = False
+    try:
+        for w in range(1, k):
+            pid, pipe = _fork(_evaluate_cells, checkpoints, series, years, cells[w::k])
+            children[pid] = pipe
+        outcomes = [_evaluate_cells(checkpoints, series, years, cells[0::k])]
+        sent = [pipe.read() for pipe in children.values()]
+        read = True
+    finally:
+        if not read:
+            import signal
 
-    return CrossTestMatrix(years, raw)
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        for pipe in children.values():
+            pipe.close()
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    outcomes += map(_child_result, children, sent, statuses)
+
+    errors = [error for _, error in outcomes if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    raw = np.empty(len(cells))
+    for w, (returns, _) in enumerate(outcomes):
+        raw[w::k] = returns
+    return CrossTestMatrix(years, raw.reshape(n, n))
+
+
+def _evaluate_cells(
+    checkpoints: Mapping[int, Checkpoint],
+    series: Mapping[int, PriceSeries],
+    years: Sequence[int],
+    cells: Sequence[int],
+) -> tuple[list[float], tuple[int, Exception] | None]:
+    """Greedy returns of ``cells`` (row-major indices of the agent × test
+    year grid), in order, up to the first that raises; and that cell's
+    index and error, or None."""
+    n = len(years)
+    returns: list[float] = []
+    configs: dict[int, BatteryConfig] = {}
+    for c in cells:
+        agent, test = divmod(c, n)
+        ckpt = checkpoints[years[agent]]
+        try:
+            if agent not in configs:
+                configs[agent] = checkpoint_config(ckpt)
+            returns.append(evaluate_greedy(ckpt, series[years[test]], configs[agent]))
+        except Exception as exc:  # the caller raises the first error of all shares
+            return returns, (c, exc)
+    return returns, None
+
+
+def _fork(work, *args) -> tuple[int, BinaryIO]:
+    """Run ``work(*args)`` in a forked child; return its pid and the read end
+    of a pipe that carries the pickled result, then closes.
+
+    The child ends with :func:`os._exit`, after writing or on any error, so
+    it runs no atexit handler and flushes none of the stdio buffers it
+    inherited.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            result = pickle.dumps(work(*args))
+            with open(w, "wb") as pipe:
+                pipe.write(result)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _child_result(pid: int, sent: bytes, status: int):
+    """What a child of :func:`_fork` sent, or an RtpArbError if it sent nothing whole."""
+    import pickle
+
+    try:
+        return pickle.loads(sent)
+    except Exception:  # empty or truncated: the child died before writing all of it
+        code = os.waitstatus_to_exitcode(status)
+        raise RtpArbError(f"cross-test worker {pid} ended without a result (exit code {code})") from None
 
 
 @dataclass(frozen=True)
@@ -430,14 +536,20 @@ class DailyPolicyTrace:
 
 
 def daily_policy_trace(
-    ckpt: Checkpoint, prices: PriceSeries, config: BatteryConfig, day: date
+    ckpt: Checkpoint,
+    prices: PriceSeries,
+    config: BatteryConfig,
+    day: date,
+    rollout: tuple[float, list[Action], list[float]] | None = None,
 ) -> DailyPolicyTrace:
     """Greedy dispatch restricted to one UTC day of the series.
 
     The rollout still covers the whole series (the policy sees full price
     history and carries charge into the day); only the 24 rows of ``day``
     are returned. The final series hour has no action, so a day touching it
-    is rejected.
+    is rejected. ``rollout``, when given, is :func:`greedy_rollout`'s result
+    on the same network, prices and battery, which is then not rolled out
+    again.
     """
     start = datetime.combine(day, dtime(), tzinfo=timezone.utc)
     first = prices.index_of(start)
@@ -446,7 +558,9 @@ def daily_policy_trace(
         raise ValidationError(
             f"day {day.isoformat()} is not fully covered by dispatchable hours of {prices!r}"
         )
-    _, actions, charges = greedy_rollout(ckpt.net, ckpt.norm, prices, config)
+    if rollout is None:
+        rollout = greedy_rollout(ckpt.net, ckpt.norm, prices, config)
+    _, actions, charges = rollout
     return DailyPolicyTrace(
         start=start,
         prices=tuple(float(p) for p in prices.prices[first : last + 1]),

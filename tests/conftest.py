@@ -9,6 +9,7 @@ stay exact.
 """
 
 import ctypes
+import os
 from collections import namedtuple
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -58,6 +59,17 @@ CONFIGS = [
     BatteryConfig(capacity_kwh=10.0, rate_kw=3.0, window_hours=6),  # 3 does not divide 10
     BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process unreaped (waitpid gave pid {pid}, status {status})")
 
 
 @pytest.fixture

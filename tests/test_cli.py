@@ -5,7 +5,7 @@ import dataclasses
 import functools
 import json
 import struct
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,16 @@ from rtp_arb import (
     PriceSeries,
     QNetwork,
     ValidationError,
+    checkpoint_config,
+    cli,
+    daily_policy_trace,
+    emit_outputs,
+    evaluate_greedy,
+    experiment,
     fetch_five_minute_feed,
     init_network,
+    load_checkpoint,
+    read_price_csv,
     save_checkpoint,
     write_price_csv,
 )
@@ -606,6 +614,33 @@ class TestWorkflow:
         assert captured.out == ""
         assert sorted(p.name for p in out_dir.iterdir()) == ["training_curves.csv"]
         assert curves.read_text() == "year,step,greedy_return_cents\n2020,0,nan\n"
+
+    def test_eval_day_rolls_the_year_out_once(self, tmp_path, capsys, clean_env, monkeypatch):
+        out_dir, ref_dir = tmp_path / "out", tmp_path / "ref"
+        code, prices = self.train(tmp_path, 2021, out_dir)
+        assert code == 0
+        ckpt = load_checkpoint(out_dir / "agent_2021.ckpt")
+        series = read_price_csv(prices)
+        config = checkpoint_config(ckpt)
+        ret = evaluate_greedy(ckpt, series, config)
+        emit_outputs(None, None, ref_dir, daily_policy_trace(ckpt, series, config, date(2021, 1, 2)))
+
+        calls = []
+        rollout = experiment.greedy_rollout
+
+        def counted(*args):
+            calls.append(args)
+            return rollout(*args)
+
+        monkeypatch.setattr(experiment, "greedy_rollout", counted)
+        monkeypatch.setattr(cli, "greedy_rollout", counted)
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(out_dir / "agent_2021.ckpt"), "--prices", prices]
+        assert run(argv + ["--day", "2021-01-02", "--out-dir", str(out_dir)]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.startswith(f"greedy return on {prices}: {ret:.1f} cents (")
+        for name in ("daily_policy.csv", "daily_policy.svg"):
+            assert (out_dir / name).read_bytes() == (ref_dir / name).read_bytes(), name
 
     def test_eval_rejects_bad_day(self, tmp_path, capsys, clean_env):
         out_dir = tmp_path / "out"

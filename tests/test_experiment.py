@@ -1,5 +1,7 @@
 """Training curves, best-checkpoint selection, cross-year tests, outputs."""
 
+import os
+import time
 import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
 
@@ -19,6 +21,7 @@ from rtp_arb import (
     ObservationNormalizer,
     PriceSeries,
     QNetwork,
+    RtpArbError,
     TrainingCurve,
     TrainingDivergedError,
     ValidationError,
@@ -28,8 +31,10 @@ from rtp_arb import (
     emit_outputs,
     episode_return,
     evaluate_greedy,
+    experiment,
     forward_batch,
     hindsight_optimal,
+    init_network,
     simulate,
     train_agent,
 )
@@ -294,6 +299,124 @@ class TestCrossTest:
             del m[2022]
         with pytest.raises(ConfigError, match="2 years"):
             cross_test(checkpoints, series)
+
+
+def serial_cross_test(checkpoints, series) -> np.ndarray:
+    """The cross-test's raw returns as one loop over the cells, in row-major
+    order, through ``experiment.evaluate_greedy`` as a test may patch it."""
+    years = sorted(series)
+    raw = np.empty((len(years), len(years)))
+    for i, agent_year in enumerate(years):
+        ckpt = checkpoints[agent_year]
+        config = checkpoint_config(ckpt)
+        for j, test_year in enumerate(years):
+            raw[i, j] = experiment.evaluate_greedy(ckpt, series[test_year], config)
+    return raw
+
+
+def cpus(monkeypatch, k: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+
+
+class TestCrossTestWorkers:
+    """The cells spread over forked workers: the bits and the first error of
+    one loop over the cells, and no process left behind."""
+
+    YEARS = (2019, 2020, 2021)
+
+    def grid(self):
+        # random networks on random walks: nine distinct returns, every bit in play
+        rng = np.random.default_rng(8)
+        series, checkpoints = {}, {}
+        for n, year in enumerate(self.YEARS):
+            series[year] = series_for_year(year, 4.0 + np.cumsum(rng.normal(0.0, 0.7, 120)))
+            net = init_network(SMALL_CONFIG.window_hours, [n, 1])
+            norm = ObservationNormalizer.from_series(series[year].prices, SMALL_CONFIG.capacity_kwh)
+            ckpt = constant_policy_checkpoint(year, Action.IDLE, SMALL_CONFIG)
+            checkpoints[year] = Checkpoint(net, AdamState.for_network(net), norm, ckpt.metadata)
+        return checkpoints, series
+
+    def failing(self, monkeypatch, bad_cells):
+        """Make the cells ``bad_cells`` (row-major) raise a ValidationError citing the cell."""
+        n = len(self.YEARS)
+        evaluate = experiment.evaluate_greedy
+
+        def flaky(ckpt, prices, config):
+            cell = self.YEARS.index(ckpt.metadata["year"]) * n + self.YEARS.index(prices.start.year)
+            if cell in bad_cells:
+                raise ValidationError(f"cell {cell} is bad", position=100 + cell)
+            return evaluate(ckpt, prices, config)
+
+        monkeypatch.setattr(experiment, "evaluate_greedy", flaky)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16])
+    def test_raw_is_the_bits_of_one_loop(self, monkeypatch, k):
+        checkpoints, series = self.grid()
+        expected = serial_cross_test(checkpoints, series)
+        cpus(monkeypatch, k)
+        matrix = cross_test(checkpoints, series)
+        assert matrix.raw.tobytes() == expected.tobytes()
+        assert len(set(matrix.raw.ravel().tolist())) == len(self.YEARS) ** 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 16])
+    @pytest.mark.parametrize(
+        "bad_cells, broken_agent",
+        [
+            pytest.param({2, 5}, None, id="parent-share-first"),
+            pytest.param({3, 4}, None, id="child-share-first"),
+            pytest.param({8}, None, id="last-cell"),
+            pytest.param({1}, 2020, id="config-error-behind-earlier-row"),
+            pytest.param({7}, 2020, id="config-error-first"),
+        ],
+    )
+    def test_raises_the_first_error_of_one_loop(self, monkeypatch, k, bad_cells, broken_agent):
+        checkpoints, series = self.grid()
+        if broken_agent is not None:
+            del checkpoints[broken_agent].metadata["rate_kw"]
+        self.failing(monkeypatch, bad_cells)
+        with pytest.raises(RtpArbError) as serial:
+            serial_cross_test(checkpoints, series)
+        cpus(monkeypatch, k)
+        with pytest.raises(RtpArbError) as info:
+            cross_test(checkpoints, series)
+        assert type(info.value) is type(serial.value)
+        assert str(info.value) == str(serial.value)
+        assert getattr(info.value, "position", None) == getattr(serial.value, "position", None)
+
+    def test_a_child_that_dies_without_a_result_is_an_error(self, monkeypatch):
+        checkpoints, series = self.grid()
+        parent = os.getpid()
+        evaluate = experiment.evaluate_greedy
+
+        def dying(ckpt, prices, config):
+            if os.getpid() != parent:
+                os._exit(3)
+            return evaluate(ckpt, prices, config)
+
+        monkeypatch.setattr(experiment, "evaluate_greedy", dying)
+        cpus(monkeypatch, 3)
+        with pytest.raises(RtpArbError, match=r"ended without a result \(exit code 3\)"):
+            cross_test(checkpoints, series)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch):
+        checkpoints, series = self.grid()
+        parent = os.getpid()
+
+        def stuck(ckpt, prices, config):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(experiment, "evaluate_greedy", stuck)
+        cpus(monkeypatch, 3)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cross_test(checkpoints, series)
+        assert time.monotonic() - t0 < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestDailyPolicy:
