@@ -389,22 +389,12 @@ def cross_test(
 ) -> CrossTestMatrix:
     """Evaluate every agent on every year and normalize by same-year returns.
 
-    The (agent, test year) cells are independent greedy rollouts, spread
-    over one process per usable CPU (``os.sched_getaffinity``), at most one
-    per cell: with ``k`` processes, share ``w`` takes every ``k``-th cell of
-    the row-major order from cell ``w``. This process evaluates share 0, and
-    a child made by :func:`os.fork` each other share: it reads the
-    checkpoints and series copy-on-write, so its memory is only the pages it
-    writes, and pipes back its pickled returns. Each cell is the same
-    :func:`evaluate_greedy` call as in one loop over the cells, so ``raw`` has
-    the same bits for any number of CPUs; with one CPU nothing is forked.
-
-    The error raised is the one that loop raises, that of the first failing
-    cell in row-major order, an agent's unusable battery metadata
-    (:func:`checkpoint_config`) failing at its first cell. A child that ends
-    without a result is an RtpArbError. No child outlives the call: each is
-    reaped on return, error or interrupt, and killed first unless its result
-    was read.
+    Each (agent, test year) cell is one :func:`evaluate_greedy` call, and the
+    cells are independent: :func:`_process_map` spreads them over the usable
+    CPUs. ``raw`` has the bits of one loop over the cells in row-major order
+    on any number of CPUs, and the error raised is that loop's: the first
+    failing cell's, an agent's unusable battery metadata
+    (:func:`checkpoint_config`) failing at its first cell.
     """
     if set(checkpoints) != set(series):
         raise ConfigError(
@@ -415,15 +405,70 @@ def cross_test(
         raise ConfigError(f"cross-test needs at least 2 years, got {len(years)}")
 
     n = len(years)
-    cells = range(n * n)
-    k = min(len(os.sched_getaffinity(0)), len(cells))
+
+    def cell(c: int) -> float:
+        agent, test = divmod(c, n)
+        ckpt = checkpoints[years[agent]]
+        return evaluate_greedy(ckpt, series[years[test]], checkpoint_config(ckpt))
+
+    return CrossTestMatrix(years, np.array(_process_map(cell, range(n * n))).reshape(n, n))
+
+
+def _process_map(fn, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, over one process per usable CPU.
+
+    With ``k`` processes (the usable CPUs of :func:`os.sched_getaffinity`, at
+    most one per item), share ``w`` takes items ``w::k``. This process runs
+    share 0, and a child made by :func:`os.fork` each other share: it reads
+    ``fn`` and ``items`` copy-on-write, pipes back its pickled results and
+    ends with :func:`os._exit`, so it runs no atexit handler and flushes no
+    inherited stdio buffer. Where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing (Windows, macOS), everything runs in this process.
+
+    A share stops at its first failing item, and the error raised is that of
+    the lowest failing item: the one the plain loop raises. A child that ends
+    without a whole result is an RtpArbError. No child outlives the call:
+    each is reaped on return, error or interrupt, and killed first unless its
+    result was read.
+    """
+    import pickle
+
+    def run(share: range):
+        results = []
+        for i in share:
+            try:
+                results.append(fn(items[i]))
+            except Exception as exc:  # the caller raises the lowest failing item's
+                return results, (i, exc)
+        return results, None
+
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    k = max(1, min(len(os.sched_getaffinity(0)) if can_fork else 1, len(items)))
+    shares = [range(len(items))[w::k] for w in range(k)]
     children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
     read = False
     try:
-        for w in range(1, k):
-            pid, pipe = _fork(_evaluate_cells, checkpoints, series, years, cells[w::k])
-            children[pid] = pipe
-        outcomes = [_evaluate_cells(checkpoints, series, years, cells[0::k])]
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(rfd)
+                    result = pickle.dumps(run(share))
+                    with open(wfd, "wb") as pipe:
+                        pipe.write(result)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            children[pid] = open(rfd, "rb")
+        outcomes = [run(shares[0])]
         sent = [pipe.read() for pipe in children.values()]
         read = True
     finally:
@@ -435,81 +480,20 @@ def cross_test(
         for pipe in children.values():
             pipe.close()
         statuses = [os.waitpid(pid, 0)[1] for pid in children]
-    outcomes += map(_child_result, children, sent, statuses)
+    for pid, data, status in zip(children, sent, statuses):
+        try:
+            outcomes.append(pickle.loads(data))
+        except Exception:  # empty or truncated: the child died before writing all of it
+            code = os.waitstatus_to_exitcode(status)
+            raise RtpArbError(f"worker process {pid} ended without a result (exit code {code})") from None
 
     errors = [error for _, error in outcomes if error is not None]
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    raw = np.empty(len(cells))
-    for w, (returns, _) in enumerate(outcomes):
-        raw[w::k] = returns
-    return CrossTestMatrix(years, raw.reshape(n, n))
-
-
-def _evaluate_cells(
-    checkpoints: Mapping[int, Checkpoint],
-    series: Mapping[int, PriceSeries],
-    years: Sequence[int],
-    cells: Sequence[int],
-) -> tuple[list[float], tuple[int, Exception] | None]:
-    """Greedy returns of ``cells`` (row-major indices of the agent × test
-    year grid), in order, up to the first that raises; and that cell's
-    index and error, or None."""
-    n = len(years)
-    returns: list[float] = []
-    configs: dict[int, BatteryConfig] = {}
-    for c in cells:
-        agent, test = divmod(c, n)
-        ckpt = checkpoints[years[agent]]
-        try:
-            if agent not in configs:
-                configs[agent] = checkpoint_config(ckpt)
-            returns.append(evaluate_greedy(ckpt, series[years[test]], configs[agent]))
-        except Exception as exc:  # the caller raises the first error of all shares
-            return returns, (c, exc)
-    return returns, None
-
-
-def _fork(work, *args) -> tuple[int, BinaryIO]:
-    """Run ``work(*args)`` in a forked child; return its pid and the read end
-    of a pipe that carries the pickled result, then closes.
-
-    The child ends with :func:`os._exit`, after writing or on any error, so
-    it runs no atexit handler and flushes none of the stdio buffers it
-    inherited.
-    """
-    import pickle
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            result = pickle.dumps(work(*args))
-            with open(w, "wb") as pipe:
-                pipe.write(result)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _child_result(pid: int, sent: bytes, status: int):
-    """What a child of :func:`_fork` sent, or an RtpArbError if it sent nothing whole."""
-    import pickle
-
-    try:
-        return pickle.loads(sent)
-    except Exception:  # empty or truncated: the child died before writing all of it
-        code = os.waitstatus_to_exitcode(status)
-        raise RtpArbError(f"cross-test worker {pid} ended without a result (exit code {code})") from None
+    out = [None] * len(items)
+    for w, (results, _) in enumerate(outcomes):
+        out[w::k] = results
+    return out
 
 
 @dataclass(frozen=True)

@@ -295,9 +295,15 @@ def hour_stamps(start: datetime, n: int, first: int = 0) -> list[str]:
     Whole seconds, the year padded to four digits: ``0999-12-31T22:00:00Z``.
     A stamp past year 9999 has five digits, so no well-formed stamp equals it.
     """
-    t0 = np.datetime64(start.replace(tzinfo=None), "s")
-    stamps = np.datetime_as_string(t0 + 3600 * np.arange(first, first + n), unit="s")
-    return [s + "Z" for s in stamps.tolist()]
+    # formatting each day once and adding its 24 clock times is some 3x
+    # faster than formatting every hour; every clock time keeps the start's
+    # offset within its hour
+    hour, offset = divmod(int(np.datetime64(start.replace(tzinfo=None), "s").astype(np.int64)), 3600)
+    hour += first
+    days = np.arange(hour // 24, (hour + n - 1) // 24 + 1).astype("datetime64[D]")
+    clock = [f"T{h:02d}:{offset // 60:02d}:{offset % 60:02d}Z" for h in range(24)]
+    stamps = [day + t for day in np.datetime_as_string(days, unit="D").tolist() for t in clock]
+    return stamps[hour % 24 :][:n]
 
 
 def write_price_csv(series: PriceSeries, path) -> None:

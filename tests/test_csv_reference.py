@@ -1,7 +1,8 @@
 """The column reader of every CSV the lab reads against the per-row path it replaced.
 
 The price cache and the daily-policy CSV write their stamps with
-``hour_stamps`` (one ``np.datetime_as_string`` over the hours). All five
+``hour_stamps`` (each day formatted once, its 24 clock times appended;
+``test_stamps_reference.py`` holds it to the per-hour formula). All five
 formats (price cache, daily policy, training curves, cross-test results and
 the cross-test manifest) read through ``ingest.read_columns``: it checks a
 block of rows at a time (field counts, the stamps against the ones the writer

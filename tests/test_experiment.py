@@ -1,5 +1,6 @@
 """Training curves, best-checkpoint selection, cross-year tests, outputs."""
 
+import errno
 import os
 import time
 import xml.etree.ElementTree as ET
@@ -417,6 +418,88 @@ class TestCrossTestWorkers:
         assert time.monotonic() - t0 < 30
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestProcessMap:
+    """``experiment._process_map``: one process where fork is missing, and no
+    file descriptor or child left behind, also when a fork fails."""
+
+    YEARS = TestCrossTestWorkers.YEARS
+    grid = TestCrossTestWorkers.grid
+    failing = TestCrossTestWorkers.failing
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_process_where_the_platform_lacks(self, monkeypatch, missing):
+        checkpoints, series = self.grid()
+        expected = serial_cross_test(checkpoints, series)
+        pids = set()
+        evaluate = experiment.evaluate_greedy
+
+        def recorded(ckpt, prices, config):
+            pids.add(os.getpid())
+            return evaluate(ckpt, prices, config)
+
+        monkeypatch.setattr(experiment, "evaluate_greedy", recorded)
+        cpus(monkeypatch, 3)
+        monkeypatch.delattr(os, missing)
+        matrix = cross_test(checkpoints, series)
+        assert matrix.raw.tobytes() == expected.tobytes()
+        assert pids == {os.getpid()}
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_results_in_item_order(self, monkeypatch, k):
+        cpus(monkeypatch, k)
+        assert experiment._process_map(lambda s: s * 2, ["a", "b", "c", "d", "e"]) == ["aa", "bb", "cc", "dd", "ee"]
+        assert experiment._process_map(lambda s: s * 2, []) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("bad_cells", [set(), {4}, {0}], ids=["good", "child-fails", "parent-fails"])
+    def test_no_file_descriptor_left(self, monkeypatch, bad_cells):
+        checkpoints, series = self.grid()
+        self.failing(monkeypatch, bad_cells)
+        cpus(monkeypatch, 3)
+        before = open_fds()
+        if bad_cells:
+            with pytest.raises(ValidationError, match=f"cell {min(bad_cells)} is bad"):
+                cross_test(checkpoints, series)
+        else:
+            cross_test(checkpoints, series)
+        assert open_fds() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_failed_fork_closes_its_pipe_and_kills_the_children(self, monkeypatch):
+        checkpoints, series = self.grid()
+        parent = os.getpid()
+        evaluate = experiment.evaluate_greedy
+
+        def stuck_in_children(ckpt, prices, config):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return evaluate(ckpt, prices, config)
+
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(None)
+            if len(forks) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return fork()
+
+        monkeypatch.setattr(experiment, "evaluate_greedy", stuck_in_children)
+        monkeypatch.setattr(os, "fork", second_fails)
+        cpus(monkeypatch, 3)
+        before = open_fds()
+        t0 = time.monotonic()
+        with pytest.raises(OSError) as info:
+            cross_test(checkpoints, series)
+        assert info.value.errno == errno.EAGAIN
+        assert len(forks) == 2
+        assert time.monotonic() - t0 < 30
+        assert open_fds() == before
 
 
 class TestDailyPolicy:
