@@ -10,7 +10,9 @@ Every setting follows the same precedence: command-line flag, then config
 file, then built-in default. Settings are the leaf fields of
 :class:`RunConfig` (``BatteryConfig``, ``Hyperparams`` and the run fields);
 a field's config key is its name and its flag is ``--field-name``, with the
-exploration schedule's fields keyed ``epsilon_<name>``. The config file is
+exploration schedule's fields keyed ``epsilon_<name>``. A flag is only on the
+subcommands that read its field; every key is valid in the config file of
+every subcommand, so one file serves them all. The config file is
 flat ``key = value`` UTF-8 text; a line whose first non-blank character is
 ``#`` or ``;`` is a comment, but a note after a value is part of the value
 (``rate_kw = 5  # note`` is a bad value). Exit codes: 0 success, 1 runtime
@@ -103,8 +105,8 @@ class RunConfig:
     out_dir: Path = Path("runs")
 
 
-#: Subcommands whose parser has flags for a RunConfig field (one per leaf of
-#: battery and hyper). Fields not listed have flags on every subcommand.
+#: The subcommands that read each RunConfig field and so have its flags (one
+#: per leaf of battery and hyper); a field missing here fails at import.
 _FLAGS_ON = {
     # eval and cross-test take the battery from checkpoint metadata
     "battery": ("train", "oracle"),
@@ -114,6 +116,8 @@ _FLAGS_ON = {
     "seed": ("train",),
     "endpoint": ("fetch",),
     "years": (),  # config file only
+    "data_dir": ("fetch",),
+    "out_dir": ("train", "eval", "cross-test"),
 }
 
 
@@ -124,13 +128,14 @@ def _prefix(owner: type, name: str, prefix: str) -> str:
 
 
 def _knobs(cls: type = RunConfig, path: tuple[str, ...] = (), prefix: str = "") -> dict:
-    """Config key -> (attribute path from RunConfig, converter) of every leaf field."""
-    out: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {}
+    """Config key -> (attribute path from RunConfig, converter, subcommands with its flag) of every leaf."""
+    out: dict[str, tuple[tuple[str, ...], Callable[[str], Any], tuple[str, ...]]] = {}
     for name, hint in get_type_hints(cls).items():
         if is_dataclass(hint):
             out.update(_knobs(hint, path + (name,), _prefix(cls, name, prefix)))
         else:
-            out[prefix + name] = (path + (name,), _parse_years if hint == tuple[int, ...] else hint)
+            convert = _parse_years if hint == tuple[int, ...] else hint
+            out[prefix + name] = (path + (name,), convert, _FLAGS_ON[path[0] if path else name])
     return out
 
 
@@ -171,7 +176,7 @@ def _parse_config_file(path) -> dict[str, str]:
 def _assemble(args: argparse.Namespace) -> RunConfig:
     """Merge built-in defaults, config file, and flags (in rising precedence)."""
     values: dict[str, Any] = {}
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _parse_config_file(args.config).items():
             if key not in _KNOBS:
                 raise ConfigError(f"{args.config}: unknown config key {key!r}")
@@ -194,11 +199,11 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _add_flags(parser: argparse.ArgumentParser, command: str | None) -> None:
-    """One ``--field-name`` flag per knob that ``command`` takes (None: every subcommand)."""
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One ``--field-name`` flag per knob that ``command`` reads."""
     defaults = RunConfig()
-    for key, (path, convert) in _KNOBS.items():
-        if command in _FLAGS_ON.get(path[0], (None,)):
+    for key, (path, convert, commands) in _KNOBS.items():
+        if command in commands:
             default = defaults
             for name in path:
                 default = getattr(default, name)
@@ -210,7 +215,6 @@ def _add_flags(parser: argparse.ArgumentParser, command: str | None) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key = value settings file")
-    _add_flags(common, None)
 
     parser = argparse.ArgumentParser(
         prog="rtp-arb",
@@ -318,7 +322,7 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             day = date.fromisoformat(args.day)
         except ValueError as exc:
             raise ConfigError(f"--day must be YYYY-MM-DD, got {args.day!r}") from exc
-        trace = daily_policy_trace(ckpt, series, config, day, rollout)
+        trace = daily_policy_trace(series, day, rollout)
         csv_path, svg_path = emit_outputs(None, None, cfg.out_dir, trace)
         print(f"daily dispatch: {csv_path} and {svg_path}")
     return 0

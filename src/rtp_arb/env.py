@@ -86,6 +86,15 @@ def _require_utc(ts: datetime) -> None:
         raise ValidationError(f"timestamp {ts!r} is not UTC")
 
 
+def utc_start(ts: datetime) -> datetime:
+    """The start of a row of hours in ``timezone.utc`` (``ts`` itself if it is
+    already), so that hours step in UTC; a UTC whole second, as the cache keeps."""
+    _require_utc(ts)
+    if ts.microsecond:
+        raise ValidationError(f"start {ts.isoformat()} is not a whole second")
+    return ts.astimezone(timezone.utc)
+
+
 class PriceSeries:
     """A gap-free chronological sequence of hourly prices: ``start`` is the
     UTC start of the first hour, ``prices`` the cents/kWh of that hour and
@@ -94,7 +103,7 @@ class PriceSeries:
     __slots__ = ("start", "prices")
 
     def __init__(self, start: datetime, prices: Sequence[float]):
-        _require_utc(start)
+        start = utc_start(start)
         values = np.asarray(prices, dtype=np.float64).copy()
         if values.ndim != 1 or len(values) < 2:
             raise ValidationError(f"price series needs at least 2 hours, got shape {values.shape}")
@@ -133,8 +142,8 @@ class PriceSeries:
     def index_of(self, hour: datetime) -> int:
         """Position of a UTC hour-start within the series."""
         _require_utc(hour)
-        idx, rem = divmod(int((hour - self.start).total_seconds()), 3600)
-        if rem != 0 or not 0 <= idx < len(self):
+        idx, rem = divmod(hour - self.start, HOUR)
+        if rem or not 0 <= idx < len(self):
             raise ValidationError(f"{hour.isoformat()} is not an hour of this series")
         return idx
 

@@ -36,7 +36,7 @@ from .dqn import (
     train_step,
 )
 # reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
-from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step
+from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step, utc_start
 from .errors import ConfigError, RtpArbError, TrainingDivergedError, ValidationError
 from .network import (
     AdamState,
@@ -498,8 +498,9 @@ def _process_map(fn, items: Sequence) -> list:
 
 @dataclass(frozen=True)
 class DailyPolicyTrace:
-    """Greedy dispatch over whole days: from the UTC hour ``start``, 24
-    hourly prices a day, with the action and post-action charge of each."""
+    """Greedy dispatch over whole days: from the UTC hour ``start`` (kept in
+    ``timezone.utc``), 24 hourly prices a day, with the action and
+    post-action charge of each."""
 
     start: datetime
     prices: tuple[float, ...]
@@ -512,6 +513,7 @@ class DailyPolicyTrace:
             raise ValidationError(f"daily trace needs whole days of 24 rows, got {n}")
         if not len(self.actions) == len(self.charge_after) == n:
             raise ValidationError("daily trace fields are not the same length")
+        object.__setattr__(self, "start", utc_start(self.start))
 
     @property
     def hours(self) -> tuple[datetime, ...]:
@@ -520,20 +522,16 @@ class DailyPolicyTrace:
 
 
 def daily_policy_trace(
-    ckpt: Checkpoint,
     prices: PriceSeries,
-    config: BatteryConfig,
     day: date,
-    rollout: tuple[float, list[Action], list[float]] | None = None,
+    rollout: tuple[float, list[Action], list[float]],
 ) -> DailyPolicyTrace:
     """Greedy dispatch restricted to one UTC day of the series.
 
-    The rollout still covers the whole series (the policy sees full price
-    history and carries charge into the day); only the 24 rows of ``day``
-    are returned. The final series hour has no action, so a day touching it
-    is rejected. ``rollout``, when given, is :func:`greedy_rollout`'s result
-    on the same network, prices and battery, which is then not rolled out
-    again.
+    ``rollout`` is :func:`greedy_rollout`'s result on ``prices``: it covers
+    the whole series (the policy sees full price history and carries charge
+    into the day), and only the 24 rows of ``day`` are returned. The final
+    series hour has no action, so a day touching it is rejected.
     """
     start = datetime.combine(day, dtime(), tzinfo=timezone.utc)
     first = prices.index_of(start)
@@ -542,8 +540,6 @@ def daily_policy_trace(
         raise ValidationError(
             f"day {day.isoformat()} is not fully covered by dispatchable hours of {prices!r}"
         )
-    if rollout is None:
-        rollout = greedy_rollout(ckpt.net, ckpt.norm, prices, config)
     _, actions, charges = rollout
     return DailyPolicyTrace(
         start=start,

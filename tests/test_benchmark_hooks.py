@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFIGS, random_walk
-from rtp_arb import EpsilonSchedule, Hyperparams, dqn, experiment
+from rtp_arb import EpsilonSchedule, Hyperparams, cli, dqn, experiment
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
@@ -47,6 +47,17 @@ def updates_expected(hyper: Hyperparams, total_steps: int) -> int:
 )
 def test_hooked_names_resolve(module, attr):
     assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} is gone"
+
+
+#: Imports that src/ keeps only so that the benchmark can hook them by name:
+#: their module calls none of them.
+TRACING_ONLY = [(experiment, "forward"), (experiment, "reset"), (experiment, "step"), (cli, "write_cross_test_csv")]
+
+
+@pytest.mark.parametrize("module, attr", TRACING_ONLY, ids=lambda v: getattr(v, "__name__", v))
+def test_tracing_only_imports_are_still_hooked(module, attr):
+    hooked = {(m, a) for m, a, *_ in tracing.PATCHES} | {(m, a) for m, a, _ in tracing.MARKS}
+    assert (module, attr) in hooked, f"the benchmark no longer hooks {module.__name__}.{attr}: delete the import"
 
 
 def test_a_counter_over_train_step_sees_every_update(monkeypatch):

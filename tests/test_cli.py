@@ -108,7 +108,8 @@ class TestOracleCommand:
     def test_too_many_charge_levels_is_an_error(self, command, tmp_path, capsys, clean_env):
         # the level closure once gave up with a RuntimeError and a traceback
         prices = write_series_csv(tmp_path / "p.csv", [1.0, 2.0, 3.0] * 8)
-        assert run([command, "--prices", prices, "--capacity-kwh", "100000", "--rate-kw", "1", "--out-dir", str(tmp_path)]) == 1
+        out_dir = ["--out-dir", str(tmp_path)] if command == "train" else []
+        assert run([command, "--prices", prices, "--capacity-kwh", "100000", "--rate-kw", "1", *out_dir]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: a 100000 kWh battery at 1 kW has more than 10,000 charge levels\n"
 
@@ -229,24 +230,24 @@ KNOBS = {
     "seed": ("seed", "9", 9, "train"),
     "years": ("years", "2016,2018", (2016, 2018), None),
     "endpoint": ("endpoint", "https://feed.test/api", "https://feed.test/api", "fetch"),
-    "data_dir": ("data_dir", "cache-dir", Path("cache-dir"), "oracle"),
-    "out_dir": ("out_dir", "results", Path("results"), "oracle"),
+    "data_dir": ("data_dir", "cache-dir", Path("cache-dir"), "fetch"),
+    "out_dir": ("out_dir", "results", Path("results"), "train"),
 }
 
-#: The options of each subcommand. The battery flags are on the two
-#: subcommands that read them; eval and cross-test take the battery from
-#: checkpoint metadata.
-COMMON_FLAGS = {"-h", "--help", "--config", "--data-dir", "--out-dir"}
+#: The options of each subcommand: a flag is on the subcommands that read its
+#: field. The battery flags are on train and oracle; eval and cross-test take
+#: the battery from checkpoint metadata.
+COMMON_FLAGS = {"-h", "--help", "--config"}
 BATTERY_FLAGS = {"--capacity-kwh", "--rate-kw", "--window-hours"}
 SUBCOMMAND_FLAGS = {
-    "fetch": COMMON_FLAGS | {"--year", "--force", "--endpoint"},
+    "fetch": COMMON_FLAGS | {"--data-dir", "--year", "--force", "--endpoint"},
     "train": COMMON_FLAGS | BATTERY_FLAGS | {
-        "--prices", "--steps", "--eval-every", "--seed", "--gamma", "--learning-rate",
+        "--out-dir", "--prices", "--steps", "--eval-every", "--seed", "--gamma", "--learning-rate",
         "--batch-size", "--buffer-capacity", "--learning-starts", "--update-every",
         "--target-sync-every", "--epsilon-start", "--epsilon-end", "--epsilon-decay-fraction",
     },
-    "eval": COMMON_FLAGS | {"--checkpoint", "--prices", "--day"},
-    "cross-test": COMMON_FLAGS | {"--manifest"},
+    "eval": COMMON_FLAGS | {"--out-dir", "--checkpoint", "--prices", "--day"},
+    "cross-test": COMMON_FLAGS | {"--out-dir", "--manifest"},
     "oracle": COMMON_FLAGS | BATTERY_FLAGS | {"--prices"},
     "plot": COMMON_FLAGS | {"--in"},
 }
@@ -367,18 +368,26 @@ class TestKnobErrors:
         assert captured.out == ""
 
 
-class TestBatteryFlags:
-    """The battery flags exist only where the battery is read; the file keys stay everywhere."""
+class TestFlagsWhereRead:
+    """A flag exists only on the subcommands that read its field; the file keys stay everywhere."""
 
+    #: arguments that fail before any work if a flag is wrongly accepted (2020 needs --force)
     ARGS = {
+        "fetch": ["--year", "2020"],
+        "train": ["--prices", "x.csv"],
         "eval": ["--checkpoint", "a.ckpt", "--prices", "x.csv"],
         "cross-test": ["--manifest", "m.csv"],
+        "oracle": ["--prices", "x.csv"],
         "plot": ["--in", "results"],
-        "fetch": ["--year", "2018"],
+    }
+    #: each flag with the subcommands that lack it
+    LACKING = {
+        **dict.fromkeys(sorted(BATTERY_FLAGS), ("fetch", "eval", "cross-test", "plot")),
+        "--data-dir": ("train", "eval", "cross-test", "oracle", "plot"),
+        "--out-dir": ("fetch", "oracle", "plot"),
     }
 
-    @pytest.mark.parametrize("flag", sorted(BATTERY_FLAGS))
-    @pytest.mark.parametrize("command", sorted(ARGS))
+    @pytest.mark.parametrize("flag, command", [(f, c) for f, commands in LACKING.items() for c in commands])
     def test_flag_is_a_usage_error(self, command, flag, capsys, clean_env):
         assert run([command, *self.ARGS[command], flag, "99"]) == 2
         assert f"unrecognized arguments: {flag} 99" in capsys.readouterr().err
@@ -386,9 +395,10 @@ class TestBatteryFlags:
     @pytest.mark.parametrize("command", sorted(ARGS))
     def test_config_keys_still_accepted(self, command, tmp_path, clean_env):
         cfg = tmp_path / "settings.cfg"
-        cfg.write_text("capacity_kwh = 99\nrate_kw = 9\nwindow_hours = 7\n")
-        args = _build_parser().parse_args([command, *self.ARGS[command], "--config", str(cfg)])
-        assert _assemble(args).battery == BatteryConfig(99.0, 9.0, 7)
+        cfg.write_text("capacity_kwh = 99\nrate_kw = 9\nwindow_hours = 7\ndata_dir = cache\nout_dir = results\n")
+        merged = _assemble(_build_parser().parse_args([command, *self.ARGS[command], "--config", str(cfg)]))
+        assert merged.battery == BatteryConfig(99.0, 9.0, 7)
+        assert (merged.data_dir, merged.out_dir) == (Path("cache"), Path("results"))
 
 
 class TestDataDirPrecedence:
@@ -623,7 +633,8 @@ class TestWorkflow:
         series = read_price_csv(prices)
         config = checkpoint_config(ckpt)
         ret = evaluate_greedy(ckpt, series, config)
-        emit_outputs(None, None, ref_dir, daily_policy_trace(ckpt, series, config, date(2021, 1, 2)))
+        trace = daily_policy_trace(series, date(2021, 1, 2), experiment.greedy_rollout(ckpt.net, ckpt.norm, series, config))
+        emit_outputs(None, None, ref_dir, trace)
 
         calls = []
         rollout = experiment.greedy_rollout

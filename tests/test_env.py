@@ -2,6 +2,7 @@
 
 import math
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -60,11 +61,23 @@ class TestPriceSeries:
 
     def test_hours_are_derived_from_the_start(self):
         s = PriceSeries(START, [3.0, 1.0, 5.0])
-        assert s.start == START
+        assert s.start is START
         assert s.hours == (START, START + HOUR, START + 2 * HOUR)
         assert PriceSeries.from_prices(START, [3.0, 1.0, 5.0]) == s
         assert s != PriceSeries(START + HOUR, [3.0, 1.0, 5.0])
         assert repr(s) == "PriceSeries(3 hours, 2018-01-01T00:00:00+00:00 .. 2018-01-01T02:00:00+00:00)"
+
+    def test_rejects_a_start_between_seconds(self):
+        # the cache keeps whole seconds, so such a series once read back with another start
+        with pytest.raises(ValidationError, match="whole second"):
+            PriceSeries(START + timedelta(microseconds=500_000), [1.0, 2.0])
+
+    def test_a_zone_at_utc_plus_0_is_kept_as_utc(self):
+        # London leaves UTC+0 at 01:00 UTC on 2021-03-28: hours stepped on its
+        # clock once made hours[2] 02:00+01:00, the instant of hours[1]
+        s = PriceSeries(datetime(2021, 3, 28, tzinfo=ZoneInfo("Europe/London")), [1.0, 2.0, 3.0])
+        assert s.start.tzinfo is timezone.utc
+        assert s.hours == tuple(datetime(2021, 3, 28, h, tzinfo=timezone.utc) for h in range(3))
 
     def test_rejects_hours_past_year_9999(self):
         last = datetime(9999, 12, 31, 23, tzinfo=timezone.utc)
@@ -86,8 +99,10 @@ class TestPriceSeries:
         assert s.index_of(START + 2 * HOUR) == 2
         with pytest.raises(ValidationError):
             s.index_of(START + 3 * HOUR)
-        with pytest.raises(ValidationError):
-            s.index_of(START + timedelta(minutes=30))
+        # an instant off the hour by under a second was once truncated onto it
+        for off in (timedelta(minutes=30), timedelta(seconds=-0.5), timedelta(seconds=0.5), HOUR + timedelta(microseconds=1)):
+            with pytest.raises(ValidationError):
+                s.index_of(START + off)
 
 
 class TestBatteryConfig:

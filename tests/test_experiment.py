@@ -5,6 +5,7 @@ import os
 import time
 import xml.etree.ElementTree as ET
 from datetime import date, datetime, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from rtp_arb import (
     evaluate_greedy,
     experiment,
     forward_batch,
+    greedy_rollout,
     hindsight_optimal,
     init_network,
     simulate,
@@ -506,7 +508,7 @@ class TestDailyPolicy:
     def test_trace_is_a_slice_of_the_full_rollout(self):
         series = wave_series(days=3)
         ckpt = constant_policy_checkpoint(2021, Action.CHARGE, SMALL_CONFIG)
-        trace = daily_policy_trace(ckpt, series, SMALL_CONFIG, date(2021, 1, 2))
+        trace = daily_policy_trace(series, date(2021, 1, 2), greedy_rollout(ckpt.net, ckpt.norm, series, SMALL_CONFIG))
         assert len(trace.hours) == 24
         assert trace.hours[0] == datetime(2021, 1, 2, tzinfo=UTC)
         assert trace.actions == (Action.CHARGE,) * 24
@@ -519,12 +521,13 @@ class TestDailyPolicy:
         series = wave_series(days=3)
         ckpt = constant_policy_checkpoint(2021, Action.CHARGE, SMALL_CONFIG)
         with pytest.raises(ValidationError, match="2021-01-03"):
-            daily_policy_trace(ckpt, series, SMALL_CONFIG, date(2021, 1, 3))
+            daily_policy_trace(series, date(2021, 1, 3), greedy_rollout(ckpt.net, ckpt.norm, series, SMALL_CONFIG))
 
     def test_window_mismatch_rejected(self):
         ckpt = constant_policy_checkpoint(2021, Action.IDLE, SMALL_CONFIG)
         with pytest.raises(ConfigError, match="width"):
-            daily_policy_trace(ckpt, wave_series(days=3), BatteryConfig(4.0, 2.0, 6), date(2021, 1, 2))
+            series = wave_series(days=3)
+            daily_policy_trace(series, date(2021, 1, 2), greedy_rollout(ckpt.net, ckpt.norm, series, BatteryConfig(4.0, 2.0, 6)))
 
     def test_trace_validation(self):
         start = datetime(2021, 1, 1, tzinfo=UTC)
@@ -532,6 +535,16 @@ class TestDailyPolicy:
             DailyPolicyTrace(start, (1.0,) * 23, (Action.IDLE,) * 23, (0.0,) * 23)
         with pytest.raises(ValidationError, match="length"):
             DailyPolicyTrace(start, (1.0,) * 24, (Action.IDLE,) * 23, (0.0,) * 24)
+        day = ((1.0,) * 24, (Action.IDLE,) * 24, (0.0,) * 24)
+        # a naive start was once kept, and a sub-second one written as the second
+        for bad in (start.replace(tzinfo=None), start.replace(microsecond=1)):
+            with pytest.raises(ValidationError):
+                DailyPolicyTrace(bad, *day)
+        assert DailyPolicyTrace(start, *day).start is start
+        # an hour of a zone at UTC+0 only in winter is kept as that UTC hour
+        london = DailyPolicyTrace(datetime(2021, 3, 28, tzinfo=ZoneInfo("Europe/London")), *day)
+        assert london.start.tzinfo is UTC
+        assert london.hours[:3] == tuple(datetime(2021, 3, 28, h, tzinfo=UTC) for h in range(3))
 
 
 CURVES_HEAD = "year,step,greedy_return_cents"
@@ -652,7 +665,7 @@ class TestCsvRoundTrips:
     def test_daily_policy(self, tmp_path):
         series = wave_series(days=3)
         ckpt = constant_policy_checkpoint(2021, Action.CHARGE, SMALL_CONFIG)
-        trace = daily_policy_trace(ckpt, series, SMALL_CONFIG, date(2021, 1, 1))
+        trace = daily_policy_trace(series, date(2021, 1, 1), greedy_rollout(ckpt.net, ckpt.norm, series, SMALL_CONFIG))
         path = tmp_path / "daily.csv"
         write_daily_policy_csv(trace, path)
         assert read_daily_policy_csv(path) == trace
@@ -712,7 +725,7 @@ class TestEmitOutputs:
         )
         series = wave_series(days=3)
         ckpt = constant_policy_checkpoint(2021, Action.CHARGE, SMALL_CONFIG)
-        daily = daily_policy_trace(ckpt, series, SMALL_CONFIG, date(2021, 1, 1))
+        daily = daily_policy_trace(series, date(2021, 1, 1), greedy_rollout(ckpt.net, ckpt.norm, series, SMALL_CONFIG))
         return curves, matrix, daily
 
     def test_writes_all_artifacts(self, tmp_path):
