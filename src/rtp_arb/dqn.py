@@ -270,6 +270,25 @@ def save_checkpoint(
             fh.write(flat.astype("<f8", copy=False).tobytes())
 
 
+def header_float(value, name: str) -> float:
+    """A float field of a checkpoint header, as the writer writes it: a JSON
+    number, not a bool or a string, which float() would also read."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{name} is past the float range") from None
+
+
+def header_int(value, name: str) -> int:
+    """An integer field of a checkpoint header, as the writer writes it: a
+    JSON integer, not a bool, a fraction or a string, which int() would read."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return value
+
+
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file; raises CheckpointError on any malformation."""
     try:
@@ -288,17 +307,17 @@ def load_checkpoint(path) -> Checkpoint:
     off = len(CHECKPOINT_MAGIC) + 8
     try:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
-        dims = [int(d) for d in header["layer_dims"]]
+        dims = [header_int(d, "layer_dims") for d in header["layer_dims"]]
         norm_f = header["normalizer"]
         opt_f = header["optimizer"]
         norm = ObservationNormalizer(
-            float(norm_f["price_mean"]),
-            float(norm_f["price_std"]),
-            float(norm_f["charge_scale"]),
+            header_float(norm_f["price_mean"], "price_mean"),
+            header_float(norm_f["price_std"], "price_std"),
+            header_float(norm_f["charge_scale"], "charge_scale"),
         )
         metadata = dict(header["metadata"])
-    # ValueError includes the decode errors; OverflowError is int(inf) or float(10**400)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    # ValueError includes the decode errors
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} has a corrupt header: {exc}") from exc
     off += header_len
     if len(dims) < 2 or min(dims) < 1 or dims[-1] != ACTION_COUNT:
@@ -326,14 +345,14 @@ def load_checkpoint(path) -> Checkpoint:
     net.flat[:] = flat
     try:
         opt = AdamState(
-            learning_rate=float(opt_f["learning_rate"]),
-            beta1=float(opt_f["beta1"]),
-            beta2=float(opt_f["beta2"]),
-            epsilon=float(opt_f["epsilon"]),
-            step_count=int(opt_f["step_count"]),
+            learning_rate=header_float(opt_f["learning_rate"], "learning_rate"),
+            beta1=header_float(opt_f["beta1"], "beta1"),
+            beta2=header_float(opt_f["beta2"], "beta2"),
+            epsilon=header_float(opt_f["epsilon"], "epsilon"),
+            step_count=header_int(opt_f["step_count"], "step_count"),
             m=m,
             v=v,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} optimizer header is corrupt: {exc}") from exc
     return Checkpoint(net, opt, norm, metadata)

@@ -30,6 +30,8 @@ from .dqn import (
     ReplayBuffer,
     epsilon_at,
     explore,
+    header_float,
+    header_int,
     push_transition,
     select_action,
     sync_target,
@@ -318,11 +320,12 @@ def train_agent(
 
 def checkpoint_config(ckpt: Checkpoint) -> BatteryConfig:
     """Battery parameters a checkpoint was trained with, from its metadata."""
+    meta = ckpt.metadata
     try:
         return BatteryConfig(
-            capacity_kwh=float(ckpt.metadata["capacity_kwh"]),
-            rate_kw=float(ckpt.metadata["rate_kw"]),
-            window_hours=int(ckpt.metadata["window_hours"]),
+            capacity_kwh=header_float(meta["capacity_kwh"], "capacity_kwh"),
+            rate_kw=header_float(meta["rate_kw"], "rate_kw"),
+            window_hours=header_int(meta["window_hours"], "window_hours"),
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint metadata lacks battery field {exc}") from exc

@@ -111,7 +111,12 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
     """The (millis, prices) columns of one body's records with lo_ms <= millis < hi_ms.
 
     Every record is checked, also those outside the range; an error names the
-    first offending record of its kind.
+    first offending record of its kind. A string field is read as the feed
+    writes it: int() and float() would also read ``"1_0"`` as 10, and an
+    Arabic-Indic three, raw or as a JSON escape, as 3. Only a body with an
+    underscore, a backslash or a non-ASCII character can hold such a field,
+    so only there is each string field checked with :func:`number_text`.
+    Spaces around a value stay accepted: float() strips them.
     """
     try:
         records = json.loads(body)
@@ -119,6 +124,7 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
         raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
+    strict = "_" in body or "\\" in body or not body.isascii()
     millis, prices = [], []
     for rec in records:
         try:
@@ -132,10 +138,14 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
             # int() would truncate a JSON 1.5 to 1
             if m.__class__ is float and not m.is_integer():
                 raise ValueError(m)
+            if strict and m.__class__ is str:
+                number_text(m.strip())
             millis.append(int(m))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-integer millisUTC") from exc
         try:
+            if strict and p.__class__ is str:
+                number_text(p.strip())
             prices.append(float(p))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-numeric price") from exc

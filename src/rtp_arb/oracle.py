@@ -5,11 +5,13 @@ is computable exactly: the clamped +/-rate moves from an empty start can only
 ever visit a small finite set of charge levels (see
 :func:`rtp_arb.env.reachable_charges`), so a backward sweep over the
 (hour, charge-level) grid of :func:`rtp_arb.env.charge_grid`, in plain
-Python floats, solves a year in 7-14 ms at the default 6 levels, keeping
-one action byte per (hour, level) cell and a single row of values. The
-resulting value is an upper bound on what any causal policy, learned or
-hand-written, can earn on that series, which makes it the yardstick the
-trained agent is measured against.
+Python floats, solves a year in about 5.5 ms at the default 6 levels,
+keeping one action byte per (hour, level) cell and a single row of values.
+On grids of up to ``KERNEL_MAX_LEVELS`` levels the sweep runs as
+straight-line code generated and compiled once per grid; larger grids run a
+loop over the cells. The resulting value is an upper bound on what any
+causal policy, learned or hand-written, can earn on that series, which makes
+it the yardstick the trained agent is measured against.
 
 Also here: an exhaustive brute-force enumerator used to cross-check the
 sweep on short horizons, and two trivial policies (price thresholds, do
@@ -18,7 +20,9 @@ nothing) for benchmark floors.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,14 @@ BRUTE_FORCE_MAX_STEPS = 12
 #: oracle's sweep can leave the float range (about 2**1024), so its rows
 #: need no finiteness check.
 FINITE_BOUND = 2.0**1000
+
+#: Grids of at most this many levels sweep in :func:`_sweep_kernel`'s
+#: compiled code; larger ones, and prices past FINITE_BOUND, in the loop.
+#: A compile's time and peak memory grow with the level count (22 ms and
+#: 5 MiB under tracemalloc at 64 levels, 55 ms and 20 MiB at 256), while its
+#: gain stays 1.6-1.9x from 16 to 256 levels: at 64, the first call's peak
+#: stays below that of a year's loop sweep at 1,001 levels (9.6 MiB).
+KERNEL_MAX_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -58,12 +70,20 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     Each cell costs one product and one sum of Python floats, and the best
     successor is found by two strict comparisons, which is exact: the
     values hold no NaN and no -0.0 (the last row is +0.0, and a sum is -0.0
-    only if both terms are), so every maximum has the same bits. A year at
-    the default 6 levels takes 7-14 ms on a 2-core x86-64 VM shared with
-    other tenants, under CPython 3.11, against 10-19 ms for the same sweep
-    keeping an 8-byte value per cell and 48-60 ms for the vectorized numpy
-    sweep; 1,001 levels over 8,760 hours peak at 9.6 MiB under tracemalloc,
-    against 76.5 MiB with 8-byte values.
+    only if both terms are), so every maximum has the same bits. On grids of
+    at most ``KERNEL_MAX_LEVELS`` levels whose rows need no check (below),
+    the sweep runs in :func:`_sweep_kernel`'s code, compiled on the first
+    call per grid; otherwise in :func:`_sweep_loop`. Both make the same
+    comparisons and sums in the same order, so they give the same bits.
+
+    Timings are medians of 50 calls on a 2-core x86-64 VM shared with other
+    tenants, under CPython 3.11. A year at the default 6 levels takes
+    5.5 ms in the kernel against 7.4-7.7 ms in the loop (1.3x; 48-60 ms for
+    the vectorized numpy sweep); at 16-64 levels the kernel is 1.6-1.8x
+    faster. The first call per grid also pays the compile: 2 ms at 6
+    levels, 22 ms at 64. A compiled kernel keeps about 1.4 KiB a level, and
+    at most eight are kept. 1,001 levels over 8,760 hours peak at 9.6 MiB
+    under tracemalloc, against 76.5 MiB with an 8-byte value per cell.
 
     A value past the float range is a ValidationError citing the highest
     hour where one occurs: such prices have no optimum. Each computed value
@@ -76,14 +96,36 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     """
     levels, succ, deltas, start = charge_grid(prices, config)
     n_levels = len(levels)
-    cells = [(w, *s) for w, s in zip(levels, succ)]
     # a float sum past the range is inf, which fails <= as NaN does: rows are checked
     check = not levels[-1] * sum(map(abs, deltas)) <= FINITE_BOUND
 
     # codes holds the best action row by row from the last hour back: hour
     # n, level i sits at (len(deltas) - 1 - n) * n_levels + i
-    row = [0.0] * n_levels
     codes = bytearray()
+    if n_levels <= KERNEL_MAX_LEVELS and not check:
+        row = _sweep_kernel(tuple(levels), tuple(map(tuple, succ)))(deltas, codes)
+    else:
+        row = _sweep_loop(levels, succ, deltas, codes, check)
+
+    actions: list[Action] = []
+    i = start
+    at = len(codes) - n_levels  # row of hour 0
+    for _ in deltas:
+        a = codes[at + i]
+        actions.append(ACTIONS[a])
+        i = succ[i][a]
+        at -= n_levels
+    return HindsightPlan(tuple(actions), row[start])  # row is hour 0
+
+
+def _sweep_loop(
+    levels: list[float], succ: list[list[int]], deltas: list[float], codes: bytearray, check: bool
+) -> list[float]:
+    """The sweep on any grid: appends the action rows to ``codes`` from the
+    last hour back and returns hour 0's values; with ``check``, raises at the
+    first row (the highest hour) that is not all finite."""
+    cells = [(w, *s) for w, s in zip(levels, succ)]
+    row = [0.0] * len(levels)
     for n in reversed(range(len(deltas))):
         d = deltas[n]
         above = row
@@ -102,16 +144,59 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
                 f"hindsight value at hour {n} is not finite: prices beyond float range",
                 position=n,
             )
+    return row
 
-    actions: list[Action] = []
-    i = start
-    at = len(codes) - n_levels  # row of hour 0
-    for _ in deltas:
-        a = codes[at + i]
-        actions.append(ACTIONS[a])
-        i = succ[i][a]
-        at -= n_levels
-    return HindsightPlan(tuple(actions), row[start])  # row is hour 0
+
+@functools.lru_cache(maxsize=8)
+def _sweep_kernel(
+    levels: tuple[float, ...], succ: tuple[tuple[int, ...], ...]
+) -> Callable[[list[float], bytearray], list[float]]:
+    """:func:`_sweep_loop` without the check, compiled for one grid.
+
+    The generated function ``sweep(deltas, codes)`` keeps the value row in
+    locals ``v0, v1, ...`` (and the row being made in ``u0, u1, ...``), with
+    each level's successors and its level baked in (a float's ``repr`` reads
+    back as the same float). Per cell it makes the loop's two strict
+    comparisons (the second against the first one's winner) and
+    ``w * d + x``, in the same order, so every value and code has the
+    loop's bits; per hour it appends the row's codes with one
+    ``codes.extend``. It sweeps two hours an iteration, from ``v`` to ``u``
+    and back, so the rows swap names instead of objects.
+    """
+    def names(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in range(len(levels)))
+
+    def hour(src: str, dst: str, d: str) -> list[str]:
+        lines = []
+        for i, (w, (a, b, c)) in enumerate(zip(levels, succ)):
+            x, y, z, r = f"{src}{a}", f"{src}{b}", f"{src}{c}", f"{dst}{i} = {w!r} * {d} +"
+            lines += [
+                f"if {y} > {x}:",
+                f"    if {z} > {y}: {r} {z}; k{i} = 2",
+                f"    else: {r} {y}; k{i} = 1",
+                f"elif {z} > {x}: {r} {z}; k{i} = 2",
+                f"else: {r} {x}; k{i} = 0",
+            ]
+        return lines + [f"codes.extend(({names('k')}))"]
+
+    zeros = "0.0, " * len(levels)
+    lines = [
+        "def sweep(deltas, codes):",
+        "    it = reversed(deltas)",
+        "    if len(deltas) % 2:",
+        f"        {names('u')}= {zeros}",
+        "        d = next(it)",
+        *(f"        {line}" for line in hour("u", "v", "d")),
+        "    else:",
+        f"        {names('v')}= {zeros}",
+        "    for d, e in zip(it, it):",
+        *(f"        {line}" for line in hour("v", "u", "d") + hour("u", "v", "e")),
+        f"    return [{names('v')}]",
+    ]
+    source = "\n".join(lines)
+    namespace: dict = {}
+    exec(compile(source, f"<oracle sweep, {len(levels)} levels>", "exec"), namespace)
+    return namespace["sweep"]
 
 
 def brute_force_optimal(prices: PriceSeries, config: BatteryConfig) -> float:

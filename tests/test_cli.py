@@ -829,6 +829,30 @@ class TestMalformedCheckpoints:
         assert code == 1
         assert "error: checkpoint metadata has a malformed battery field" in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_kwh", True),  # float() would read a 1 kWh battery
+            ("capacity_kwh", "4.0"),
+            ("rate_kw", 10**400),  # float() would raise OverflowError
+            ("window_hours", 4.9),  # int() would read 4
+            ("window_hours", 4.0),
+            ("window_hours", True),
+        ],
+    )
+    def test_battery_numbers_only_as_the_writer_writes_them(self, tmp_path, capsys, clean_env, field, value):
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        metadata = dict(self.BATTERY, **{field: value})
+        code, err = self.eval_checkpoint(tmp_path, capsys, net, metadata=metadata)
+        assert code == 1
+        assert err.startswith(f"error: checkpoint metadata has a malformed battery field: {field} ")
+
+    def test_battery_floats_may_be_json_integers(self, tmp_path, capsys, clean_env):
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        metadata = dict(self.BATTERY, capacity_kwh=4, rate_kw=2)
+        code, _ = self.eval_checkpoint(tmp_path, capsys, net, metadata=metadata)
+        assert code == 0
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter(self, tmp_path, capsys, clean_env, value):
         # a NaN weight once evaluated to "greedy return ... cents" with exit 0

@@ -1,5 +1,8 @@
 """Exploration schedule, replay ring, TD targets, sync, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,7 @@ from rtp_arb import (
     td_targets,
     train_step,
 )
+from rtp_arb.dqn import CHECKPOINT_MAGIC
 
 IDENTITY_NORM = ObservationNormalizer(price_mean=0.0, price_std=1.0, charge_scale=1.0)
 
@@ -340,6 +344,52 @@ class TestCheckpoint:
         save_checkpoint(net, opt, norm, metadata, path)
         with pytest.raises(CheckpointError, match="non-finite parameter"):
             load_checkpoint(path)
+
+    @staticmethod
+    def rewrite_header(path, edit):
+        """Rewrites the JSON header of the checkpoint at ``path`` with ``edit(header)``."""
+        blob = path.read_bytes()
+        off = len(CHECKPOINT_MAGIC)
+        version, header_len = struct.unpack_from("<II", blob, off)
+        header = json.loads(blob[off + 8 : off + 8 + header_len])
+        edit(header)
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:off] + struct.pack("<II", version, len(new)) + new + blob[off + 8 + header_len :])
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            # float() would read these as 1.0, 3.0, 0.0 and 0.001
+            ("normalizer", "price_std", True),
+            ("normalizer", "price_mean", "3"),
+            ("optimizer", "beta1", False),
+            ("optimizer", "learning_rate", "0.001"),
+            # int() would read these as 3, 5, 1 and 5
+            ("optimizer", "step_count", 3.7),
+            ("optimizer", "step_count", 5.0),
+            ("optimizer", "step_count", True),
+            ("optimizer", "step_count", "5"),
+        ],
+    )
+    def test_header_numbers_only_as_the_writer_writes_them(self, tmp_path, section, key, value):
+        _, _, _, _, path = self.roundtrip(tmp_path)
+        self.rewrite_header(path, lambda header: header[section].__setitem__(key, value))
+        with pytest.raises(CheckpointError, match=f"{key} .* is not an? (number|integer)"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("width", [8.0, "8", True])
+    def test_layer_dims_only_as_the_writer_writes_them(self, tmp_path, width):
+        _, _, _, _, path = self.roundtrip(tmp_path)  # layer dims [5, 8, 6, 3]
+        self.rewrite_header(path, lambda header: header["layer_dims"].__setitem__(1, width))
+        with pytest.raises(CheckpointError, match="layer_dims .* is not an integer"):
+            load_checkpoint(path)
+
+    def test_float_fields_accept_json_integers(self, tmp_path):
+        _, _, _, _, path = self.roundtrip(tmp_path)
+        self.rewrite_header(path, lambda header: header["normalizer"].update(price_mean=3, charge_scale=13))
+        norm = load_checkpoint(path).norm
+        assert norm == ObservationNormalizer(3.0, 1.7, 13.0)
+        assert type(norm.price_mean) is float and type(norm.charge_scale) is float
 
     def test_infinite_second_moment_loads(self, tmp_path):
         # v = g * g overflows in a long enough run; the file is still an agent

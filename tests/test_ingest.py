@@ -131,6 +131,37 @@ class TestFeedParsing:
                 T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep
             )
 
+    @pytest.mark.parametrize(
+        "record, ascii_only, error",
+        [
+            ({"millisUTC": "1527811200000", "price": "1_0"}, True, "non-numeric"),
+            ({"millisUTC": "1527811200000", "price": "\u0663"}, True, "non-numeric"),  # a JSON escape
+            ({"millisUTC": "1527811200000", "price": "\u0663"}, False, "non-numeric"),  # raw
+            ({"millisUTC": "1527811200000", "price": "2.\u0665"}, False, "non-numeric"),
+            ({"millisUTC": "1_527_811_200_000", "price": "1.0"}, True, "non-integer"),
+            ({"millisUTC": "\u0661527811200000", "price": "1.0"}, False, "non-integer"),
+        ],
+    )
+    def test_fields_are_read_only_as_the_feed_writes_them(self, record, ascii_only, error):
+        # int() and float() read "1_0" as 10 and Arabic-Indic digits as digits
+        body = json.dumps([record], ensure_ascii=ascii_only)
+        with pytest.raises(ParseError, match=f"feed record .* {error}"):
+            fetch_five_minute_feed(T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '[{"millisUTC": " 1527811200000 ", "price": " 1.5 "}]',  # passes the screen
+            '[{"millisUTC": " 1527811200000 ", "price": " 1.5 ", "x_y": 1}]',  # an underscore
+            r'[{"millisUTC": "\t1527811200000", "price": "\u0031.5\n"}]',  # escapes
+            '[{"millisUTC": " 1527811200000 ", "price": " 1.5\u00a0", "note": "\u00b5"}]',  # raw non-ASCII
+        ],
+    )
+    def test_spaces_and_escaped_ascii_stay_accepted(self, body):
+        samples = fetch_five_minute_feed(T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep)
+        assert samples.micros.tolist() == [1527811200000 * 1000]
+        assert samples.prices.tolist() == [1.5]
+
     def test_whole_float_millis_is_a_stamp(self):
         body = json.dumps([{"millisUTC": 1527811200000.0, "price": "1.5"}])
         samples = fetch_five_minute_feed(T0, T0 + timedelta(hours=1), http_get=lambda url: body, sleep=no_sleep)

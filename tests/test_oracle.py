@@ -1,6 +1,7 @@
 """Hindsight oracle: cross-checked three ways, plus baseline policies."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     dyadic_configs,
     dyadic_prices,
     make_series,
+    random_walk,
     rng_seeds,
 )
 from rtp_arb import (
@@ -27,6 +29,8 @@ from rtp_arb import (
     simulate,
     threshold_policy,
 )
+from rtp_arb import oracle
+from rtp_arb.oracle import KERNEL_MAX_LEVELS
 
 TINY = BatteryConfig(capacity_kwh=1.0, rate_kw=1.0, window_hours=1)
 
@@ -154,6 +158,43 @@ class TestScalingEquivariance:
         base = hindsight_optimal(make_series(prices), config).value
         scaled = hindsight_optimal(make_series([p * c for p in prices]), config).value
         assert scaled == pytest.approx(base * c, rel=1e-9, abs=1e-9)
+
+
+class TestSweepKernel:
+    """The compiled sweep: one compile per grid, a bounded cache, a small peak."""
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_one_compile_per_grid(self):
+        oracle._sweep_kernel.cache_clear()
+        hindsight_optimal(make_series([1.0, 3.0, 2.0, 5.0]), BatteryConfig())
+        hindsight_optimal(make_series([2.0, 1.0]), BatteryConfig(window_hours=3))
+        info = oracle._sweep_kernel.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_the_cache_is_bounded(self):
+        maxsize = oracle._sweep_kernel.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 16
+        series = make_series([1.0, 3.0, 2.0])
+        for levels in range(2, maxsize + 5):  # whole kWh at 1 kW: one grid each
+            hindsight_optimal(series, BatteryConfig(float(levels - 1), 1.0, 1))
+        assert oracle._sweep_kernel.cache_info().currsize == maxsize
+
+    def test_first_call_peak_at_the_kernel_bound(self):
+        config = BatteryConfig(KERNEL_MAX_LEVELS - 1.0, 1.0, 1)
+        series = random_walk(0, 200)
+        oracle._sweep_kernel.cache_clear()
+        # measured 5.0 MiB, nearly all of it the compile; 29 KiB once compiled
+        assert self.peak_bytes(lambda: hindsight_optimal(series, config)) <= 8 * 2**20
+        assert self.peak_bytes(lambda: hindsight_optimal(series, config)) <= 256 * 2**10
 
 
 def _obs(latest: float) -> Observation:

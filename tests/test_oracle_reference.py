@@ -1,17 +1,25 @@
-"""The oracle's plain-float sweep against the numpy sweep it replaced.
+"""The oracle's plain-float sweeps against the numpy sweep they replaced.
 
-``hindsight_optimal`` now walks :func:`rtp_arb.env.charge_grid` in Python
+``hindsight_optimal`` walks :func:`rtp_arb.env.charge_grid` in Python
 floats: per cell one product and one sum, the best successor found by
-comparisons, the plan read off with strict comparisons. The vectorized sweep
-below is the reference: on drawn series and batteries both must give the
-same tie-broken plan and the same value bit for bit, including 2-level grids
-(rate at or above capacity), constant runs and other exact ties, and whole
-random-walk years. Prices large enough to overflow must raise exactly where
-the reference table stops being finite, at its highest such hour, whether
-or not the oracle's bound on its values lets it skip the per-row check.
+comparisons, the plan read off with strict comparisons. It has two paths:
+code compiled for the grid (``_sweep_kernel``, on grids of at most
+``KERNEL_MAX_LEVELS`` levels whose values cannot leave the float range) and
+the loop (``_sweep_loop``, everywhere else). Every case runs once on each
+path, the loop forced by patching ``KERNEL_MAX_LEVELS`` to 0, and both must
+give the reference's plan and value bit for bit. The vectorized sweep below
+is the reference: drawn series and batteries, including 2-level grids (rate
+at or above capacity), constant runs and other exact ties, whole
+random-walk years, and fixed grids on both sides of ``KERNEL_MAX_LEVELS``
+with brute force as a second referee. Prices large enough to overflow must
+raise exactly where the reference table stops being finite, at its highest
+such hour, whether or not the oracle's bound on its values lets it skip the
+per-row check, and both paths must raise the same error.
 """
 
+import contextlib
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,10 +41,13 @@ from rtp_arb import (
     BatteryConfig,
     ValidationError,
     apply_action,
+    brute_force_optimal,
     hindsight_optimal,
     reachable_charges,
 )
-from rtp_arb.oracle import FINITE_BOUND
+from rtp_arb import oracle
+from rtp_arb.env import charge_grid
+from rtp_arb.oracle import BRUTE_FORCE_MAX_STEPS, FINITE_BOUND, KERNEL_MAX_LEVELS
 
 
 def reference_charge_grid(config):
@@ -76,14 +87,39 @@ def reference_hindsight_optimal(prices, config):
     return tuple(actions), float(values[0, start])
 
 
+def loop_only():
+    """Within it, ``hindsight_optimal`` sweeps every grid in the loop."""
+    return mock.patch.object(oracle, "KERNEL_MAX_LEVELS", 0)
+
+
+def kernel_calls() -> int:
+    info = oracle._sweep_kernel.cache_info()
+    return info.hits + info.misses
+
+
+def takes_kernel(series, config) -> bool:
+    """Whether ``hindsight_optimal`` should sweep ``series`` in compiled code."""
+    levels, _, deltas, _ = charge_grid(series, config)
+    return len(levels) <= KERNEL_MAX_LEVELS and levels[-1] * sum(map(abs, deltas)) <= FINITE_BOUND
+
+
 def assert_matches_reference(prices, config):
+    """Both paths' plans equal the reference's, bit for bit; returns the plan."""
     series = make_series(prices)
     want_actions, want_value = reference_hindsight_optimal(series, config)
+    before = kernel_calls()
     plan = hindsight_optimal(series, config)
-    assert type(plan.value) is float
-    assert struct.pack("<d", plan.value) == struct.pack("<d", want_value)
-    assert all(type(a) is Action for a in plan.actions)
-    assert plan.actions == want_actions
+    assert (kernel_calls() > before) == takes_kernel(series, config)
+    with loop_only():
+        before = kernel_calls()
+        loop_plan = hindsight_optimal(series, config)
+        assert kernel_calls() == before
+    for got in (plan, loop_plan):
+        assert type(got.value) is float
+        assert struct.pack("<d", got.value) == struct.pack("<d", want_value)
+        assert all(type(a) is Action for a in got.actions)
+        assert got.actions == want_actions
+    return plan
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,6 +217,58 @@ def test_raises_exactly_where_the_reference_table_is_not_finite(prices, config):
         assert_matches_reference(prices, config)
     else:
         assert checked
-        with pytest.raises(ValidationError, match="not finite") as info:
-            hindsight_optimal(series, config)
-        assert info.value.position == np.flatnonzero(~finite)[-1]  # the highest such hour
+        for path in (contextlib.nullcontext(), loop_only()):
+            with path, pytest.raises(ValidationError, match="not finite") as info:
+                hindsight_optimal(series, config)
+            assert info.value.position == np.flatnonzero(~finite)[-1]  # the highest such hour
+
+
+#: one battery per grid size, on both sides of KERNEL_MAX_LEVELS
+GRIDS = {
+    3: BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
+    6: BatteryConfig(),
+    8: BatteryConfig(capacity_kwh=7.0, rate_kw=1.0, window_hours=1),
+    KERNEL_MAX_LEVELS: BatteryConfig(capacity_kwh=KERNEL_MAX_LEVELS - 1.0, rate_kw=1.0, window_hours=1),
+    KERNEL_MAX_LEVELS + 1: BatteryConfig(capacity_kwh=float(KERNEL_MAX_LEVELS), rate_kw=1.0, window_hours=1),
+}
+
+
+def fixed_prices(kind: str, hours: int) -> list[float]:
+    rng = np.random.default_rng(hours)
+    if kind == "square":  # 3 h at 2 c, 3 h at 6 c: many exact ties
+        return [2.0 if n % 6 < 3 else 6.0 for n in range(hours)]
+    if kind == "dyadic":
+        return (rng.integers(-64, 129, hours) / 8).tolist()
+    return (4.0 + rng.normal(0.0, 3.0, hours)).tolist()
+
+
+@pytest.mark.parametrize("hours", [2, 3, 12, 13, 48, 49])  # 1, 2, 11, 12, 47 and 48 steps
+@pytest.mark.parametrize("kind", ["square", "dyadic", "normal"])
+@pytest.mark.parametrize("n_levels", list(GRIDS))
+def test_both_paths_on_grids_around_the_kernel_bound(n_levels, kind, hours):
+    config = GRIDS[n_levels]
+    assert len(reachable_charges(config)) == n_levels
+    prices = fixed_prices(kind, hours)
+    plan = assert_matches_reference(prices, config)
+    if hours - 1 <= BRUTE_FORCE_MAX_STEPS:
+        best = brute_force_optimal(make_series(prices), config)
+        if kind == "normal":
+            assert plan.value == pytest.approx(best, rel=1e-12, abs=1e-12)
+        else:  # whole or half kWh times eighths of a cent: every sum is exact
+            assert plan.value == best
+
+
+@pytest.mark.parametrize("n_levels", [3, 6, 8])
+def test_both_paths_raise_at_the_same_hour(n_levels):
+    # finite prices whose values overflow; the bound is past FINITE_BOUND,
+    # so both paths sweep in the loop and check each row
+    series = make_series([0.0, 1e308, -1e308, 1e308, 0.0])
+    with np.errstate(all="ignore"):
+        _, _, values = reference_values(series, GRIDS[n_levels])
+    errors = []
+    for path in (contextlib.nullcontext(), loop_only()):
+        with path, pytest.raises(ValidationError, match="not finite") as info:
+            hindsight_optimal(series, GRIDS[n_levels])
+        errors.append((str(info.value), info.value.position))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == np.flatnonzero(~np.isfinite(values).all(axis=1))[-1]
