@@ -111,12 +111,13 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
     """The (millis, prices) columns of one body's records with lo_ms <= millis < hi_ms.
 
     Every record is checked, also those outside the range; an error names the
-    first offending record of its kind. A string field is read as the feed
-    writes it: int() and float() would also read ``"1_0"`` as 10, and an
-    Arabic-Indic three, raw or as a JSON escape, as 3. Only a body with an
-    underscore, a backslash or a non-ASCII character can hold such a field,
-    so only there is each string field checked with :func:`number_text`.
-    Spaces around a value stay accepted: float() strips them.
+    first offending record of its kind. A string field must be written as
+    the feed writes it: int() and float() would also read ``"1_0"`` as 10,
+    and an Arabic-Indic three, raw or as a JSON escape, as 3. Only a body
+    with an underscore, a backslash or a non-ASCII character can hold such a
+    field, so only there is each string field checked with
+    :func:`number_text`, after the conversions. Spaces around a value stay
+    accepted: float() strips them.
     """
     try:
         records = json.loads(body)
@@ -124,7 +125,6 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
         raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
     if not isinstance(records, list):
         raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
-    strict = "_" in body or "\\" in body or not body.isascii()
     millis, prices = [], []
     for rec in records:
         try:
@@ -138,17 +138,21 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
             # int() would truncate a JSON 1.5 to 1
             if m.__class__ is float and not m.is_integer():
                 raise ValueError(m)
-            if strict and m.__class__ is str:
-                number_text(m.strip())
             millis.append(int(m))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-integer millisUTC") from exc
         try:
-            if strict and p.__class__ is str:
-                number_text(p.strip())
             prices.append(float(p))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-numeric price") from exc
+    if "_" in body or "\\" in body or not body.isascii():
+        for rec in records:
+            for key in ("millisUTC", "price"):
+                if rec[key].__class__ is str:
+                    try:
+                        number_text(rec[key].strip())
+                    except ValueError as exc:
+                        raise ParseError(f"feed record {rec!r} has a {key} not written as a number") from exc
     try:
         ms = np.array(millis, np.int64)
     except OverflowError:
