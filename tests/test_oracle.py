@@ -1,7 +1,6 @@
 """Hindsight oracle: cross-checked three ways, plus baseline policies."""
 
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from rtp_arb import (
 )
 from rtp_arb import oracle
 from rtp_arb.oracle import KERNEL_MAX_LEVELS
+from test_memory import MIB, peak_bytes
 
 TINY = BatteryConfig(capacity_kwh=1.0, rate_kw=1.0, window_hours=1)
 
@@ -163,16 +163,6 @@ class TestScalingEquivariance:
 class TestSweepKernel:
     """The compiled sweep: one compile per grid, a bounded cache, a small peak."""
 
-    @staticmethod
-    def peak_bytes(fn) -> int:
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-
     def test_one_compile_per_grid(self):
         oracle._sweep_kernel.cache_clear()
         hindsight_optimal(make_series([1.0, 3.0, 2.0, 5.0]), BatteryConfig())
@@ -193,8 +183,8 @@ class TestSweepKernel:
         series = random_walk(0, 200)
         oracle._sweep_kernel.cache_clear()
         # measured 5.0 MiB, nearly all of it the compile; 29 KiB once compiled
-        assert self.peak_bytes(lambda: hindsight_optimal(series, config)) <= 8 * 2**20
-        assert self.peak_bytes(lambda: hindsight_optimal(series, config)) <= 256 * 2**10
+        assert peak_bytes(lambda: hindsight_optimal(series, config)) <= 8 * MIB
+        assert peak_bytes(lambda: hindsight_optimal(series, config)) <= MIB / 4
 
 
 def _obs(latest: float) -> Observation:
