@@ -5,13 +5,14 @@ is computable exactly: the clamped +/-rate moves from an empty start can only
 ever visit a small finite set of charge levels (see
 :func:`rtp_arb.env.reachable_charges`), so a backward sweep over the
 (hour, charge-level) grid of :func:`rtp_arb.env.charge_grid`, in plain
-Python floats, solves a year in about 5.5 ms at the default 6 levels,
+Python floats, solves a year in about 4.5 ms at the default 6 levels,
 keeping one action byte per (hour, level) cell and a single row of values.
 On grids of up to ``KERNEL_MAX_LEVELS`` levels the sweep runs as
-straight-line code generated and compiled once per grid; larger grids run a
-loop over the cells. The resulting value is an upper bound on what any
-causal policy, learned or hand-written, can earn on that series, which makes
-it the yardstick the trained agent is measured against.
+straight-line code generated and compiled once per grid, with only the
+comparisons the grid leaves open; larger grids run a loop over the cells.
+The resulting value is an upper bound on what any causal policy, learned or
+hand-written, can earn on that series, which makes it the yardstick the
+trained agent is measured against.
 
 Also here: an exhaustive brute-force enumerator used to cross-check the
 sweep on short horizons, and two trivial policies (price thresholds, do
@@ -40,9 +41,9 @@ FINITE_BOUND = 2.0**1000
 
 #: Grids of at most this many levels sweep in :func:`_sweep_kernel`'s
 #: compiled code; larger ones, and prices past FINITE_BOUND, in the loop.
-#: A compile's time and peak memory grow with the level count (22 ms and
-#: 5 MiB under tracemalloc at 64 levels, 55 ms and 20 MiB at 256), while its
-#: gain stays 1.6-1.9x from 16 to 256 levels: at 64, the first call's peak
+#: A compile's time and peak memory grow with the level count (12 ms and
+#: 5 MiB under tracemalloc at 64 levels, 65 ms and 20 MiB at 256), while its
+#: gain stays 1.6-1.8x from 16 to 256 levels: at 64, the first call's peak
 #: stays below that of a year's loop sweep at 1,001 levels (9.6 MiB).
 KERNEL_MAX_LEVELS = 64
 
@@ -74,14 +75,15 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     at most ``KERNEL_MAX_LEVELS`` levels whose rows need no check (below),
     the sweep runs in :func:`_sweep_kernel`'s code, compiled on the first
     call per grid; otherwise in :func:`_sweep_loop`. Both make the same
-    comparisons and sums in the same order, so they give the same bits.
+    comparisons and sums in the same order, so they give the same bits; the
+    kernel leaves out only those whose outcome its grid fixes.
 
     Timings are medians of 50 calls on a 2-core x86-64 VM shared with other
     tenants, under CPython 3.11. A year at the default 6 levels takes
-    5.5 ms in the kernel against 7.4-7.7 ms in the loop (1.3x; 48-60 ms for
-    the vectorized numpy sweep); at 16-64 levels the kernel is 1.6-1.8x
-    faster. The first call per grid also pays the compile: 2 ms at 6
-    levels, 22 ms at 64. A compiled kernel keeps about 1.4 KiB a level, and
+    4.2-4.8 ms in the kernel against 6.5 ms in the loop (1.5x; 48-60 ms for
+    the vectorized numpy sweep); at 16-256 levels the kernel is 1.6-1.8x
+    faster. The first call per grid also pays the compile: 1 ms at 6
+    levels, 12 ms at 64. A compiled kernel keeps about 0.8 KiB a level, and
     at most eight are kept. 1,001 levels over 8,760 hours peak at 9.6 MiB
     under tracemalloc, against 76.5 MiB with an 8-byte value per cell.
 
@@ -89,15 +91,19 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     hour where one occurs: such prices have no optimum. Each computed value
     is a rounded sum of at most M-1 terms, each at most
     ``max(levels) * |Δp|`` of its hour, so none leaves the float range while
-    ``max(levels) * sum(|Δp|)``, summed over the sweep's own deltas in Python
-    floats, is at most ``FINITE_BOUND``: rounding adds far less than the
-    factor 2**24 left to spare. Only above that bound is each row checked
-    as it is made.
+    ``max(levels) * sum(|Δp|)`` is at most ``FINITE_BOUND``. That sum is
+    numpy's, over the same ``np.diff`` of the prices as the sweep's deltas;
+    in whatever order its terms are added, a float sum of M-1 non-negative
+    terms is off by a factor of at most about 1 + M * 2**-53, as is each
+    value, which is far inside the factor 2**24 left to spare. A step or a
+    sum past the float range is inf, without a warning, and fails the
+    bound. Only above that bound is each row checked as it is made.
     """
     levels, succ, deltas, start = charge_grid(prices, config)
     n_levels = len(levels)
-    # a float sum past the range is inf, which fails <= as NaN does: rows are checked
-    check = not levels[-1] * sum(map(abs, deltas)) <= FINITE_BOUND
+    # a sum past the range is inf, which fails <= as NaN does: rows are checked
+    with np.errstate(over="ignore"):
+        check = not levels[-1] * np.add.reduce(np.abs(np.diff(prices.prices))) <= FINITE_BOUND
 
     # codes holds the best action row by row from the last hour back: hour
     # n, level i sits at (len(deltas) - 1 - n) * n_levels + i
@@ -107,14 +113,13 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     else:
         row = _sweep_loop(levels, succ, deltas, codes, check)
 
+    # moves[i][k] is (succ[i][k], ACTIONS[k]): where code k takes level i, and how
+    moves = [tuple(zip(s, ACTIONS)) for s in succ]
     actions: list[Action] = []
     i = start
-    at = len(codes) - n_levels  # row of hour 0
-    for _ in deltas:
-        a = codes[at + i]
-        actions.append(ACTIONS[a])
-        i = succ[i][a]
-        at -= n_levels
+    for at in range(len(codes) - n_levels, -1, -n_levels):  # hour 0's row first
+        i, action = moves[i][codes[at + i]]
+        actions.append(action)
     return HindsightPlan(tuple(actions), row[start])  # row is hour 0
 
 
@@ -158,10 +163,19 @@ def _sweep_kernel(
     each level's successors and its level baked in (a float's ``repr`` reads
     back as the same float). Per cell it makes the loop's two strict
     comparisons (the second against the first one's winner) and
-    ``w * d + x``, in the same order, so every value and code has the
-    loop's bits; per hour it appends the row's codes with one
-    ``codes.extend``. It sweeps two hours an iteration, from ``v`` to ``u``
-    and back, so the rows swap names instead of objects.
+    ``w * d + x``, the product first into ``t``, so every value and code has
+    the loop's bits; per hour it appends the row's codes with one call of
+    ``codes.extend``, bound once. It sweeps two hours an iteration, from
+    ``v`` to ``u`` and back, so the rows swap names instead of objects.
+
+    What the grid fixes is left out. Where the idle successor is also the
+    charge or the discharge one (the full and the empty level), the cell
+    compiles to ``y > x`` alone: of the two other comparisons an open cell
+    makes, one is of a value with itself and the other contradicts the
+    branch it sits in. The empty level's value is its best successor's,
+    without ``0.0 * d``: on this path every step is finite, so that product
+    is +0.0 or -0.0, and adding either to a value, which is never -0.0,
+    gives that value.
     """
     def names(prefix: str) -> str:
         return "".join(f"{prefix}{i}, " for i in range(len(levels)))
@@ -169,7 +183,13 @@ def _sweep_kernel(
     def hour(src: str, dst: str, d: str) -> list[str]:
         lines = []
         for i, (w, (a, b, c)) in enumerate(zip(levels, succ)):
-            x, y, z, r = f"{src}{a}", f"{src}{b}", f"{src}{c}", f"{dst}{i} = {w!r} * {d} +"
+            x, y, z, r = f"{src}{a}", f"{src}{b}", f"{src}{c}", f"{dst}{i} ="
+            if w != 0.0:
+                lines.append(f"t = {w!r} * {d}")
+                r += " t +"
+            if c in (a, b):  # idle lands where charge or discharge does
+                lines += [f"if {y} > {x}: {r} {y}; k{i} = 1", f"else: {r} {x}; k{i} = 0"]
+                continue
             lines += [
                 f"if {y} > {x}:",
                 f"    if {z} > {y}: {r} {z}; k{i} = 2",
@@ -177,11 +197,12 @@ def _sweep_kernel(
                 f"elif {z} > {x}: {r} {z}; k{i} = 2",
                 f"else: {r} {x}; k{i} = 0",
             ]
-        return lines + [f"codes.extend(({names('k')}))"]
+        return lines + [f"extend(({names('k')}))"]
 
     zeros = "0.0, " * len(levels)
     lines = [
         "def sweep(deltas, codes):",
+        "    extend = codes.extend",
         "    it = reversed(deltas)",
         "    if len(deltas) % 2:",
         f"        {names('u')}= {zeros}",

@@ -1,6 +1,8 @@
 """Hindsight oracle: cross-checked three ways, plus baseline policies."""
 
+import dis
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from rtp_arb import (
     threshold_policy,
 )
 from rtp_arb import oracle
+from rtp_arb.env import charge_grid
 from rtp_arb.oracle import KERNEL_MAX_LEVELS
 from test_memory import MIB, peak_bytes
 
@@ -185,6 +188,34 @@ class TestSweepKernel:
         # measured 5.0 MiB, nearly all of it the compile; 29 KiB once compiled
         assert peak_bytes(lambda: hindsight_optimal(series, config)) <= 8 * MIB
         assert peak_bytes(lambda: hindsight_optimal(series, config)) <= MIB / 4
+
+    def test_forced_comparisons_are_not_compiled(self):
+        # the empty level's discharge and idle land on one level, and so do
+        # the full level's charge and idle: one comparison each; the empty
+        # level's value is its successor's alone. Three hours are compiled:
+        # the odd one and the two of the loop body.
+        levels, succ, _, _ = charge_grid(make_series([1.0, 2.0]), BatteryConfig())
+        n = len(levels)
+        assert n == 6 and levels[0] == 0.0
+        sweep = oracle._sweep_kernel(tuple(levels), tuple(map(tuple, succ)))
+        ops = [(i.opname, i.argrepr) for i in dis.get_instructions(sweep)]
+        assert sum(op == "COMPARE_OP" for op, _ in ops) == 3 * (3 * (n - 2) + 2) == 42
+        products = sum(op == "BINARY_MULTIPLY" or (op, arg) == ("BINARY_OP", "*") for op, arg in ops)
+        assert products == 3 * (n - 1)  # BINARY_MULTIPLY before CPython 3.11
+
+    def test_an_overflowing_delta_sum_takes_the_checked_loop(self, powerwall):
+        # every |Δp| is finite but their sum is not: the bound reads inf
+        # without a warning, no kernel runs, and the loop raises at the
+        # highest hour whose values overflow (hour 3: 13.5 * -1e308)
+        series = make_series([0.0, 1e308, 0.0, 1e308, 0.0])
+        oracle._sweep_kernel.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="not finite") as info:
+                hindsight_optimal(series, powerwall)
+        assert info.value.position == 3
+        cache = oracle._sweep_kernel.cache_info()
+        assert cache.hits + cache.misses == 0
 
 
 def _obs(latest: float) -> Observation:

@@ -46,7 +46,6 @@ from rtp_arb import (
     reachable_charges,
 )
 from rtp_arb import oracle
-from rtp_arb.env import charge_grid
 from rtp_arb.oracle import BRUTE_FORCE_MAX_STEPS, FINITE_BOUND, KERNEL_MAX_LEVELS
 
 
@@ -99,8 +98,8 @@ def kernel_calls() -> int:
 
 def takes_kernel(series, config) -> bool:
     """Whether ``hindsight_optimal`` should sweep ``series`` in compiled code."""
-    levels, _, deltas, _ = charge_grid(series, config)
-    return len(levels) <= KERNEL_MAX_LEVELS and levels[-1] * sum(map(abs, deltas)) <= FINITE_BOUND
+    n_levels = len(reachable_charges(config))
+    return n_levels <= KERNEL_MAX_LEVELS and oracle_bound(series.prices, config) <= FINITE_BOUND
 
 
 def assert_matches_reference(prices, config):
@@ -124,6 +123,8 @@ def assert_matches_reference(prices, config):
 
 @settings(max_examples=150, deadline=None)
 @given(prices=continuous_prices(min_len=2, max_len=80), config=continuous_configs())
+# signed zeros and subnormal steps: products of -0.0, exact ties at zero
+@example(prices=[-1e-323, 5e-324, 0.0, -0.0, -1e-323], config=BatteryConfig(1.0, 0.5, 1))
 def test_continuous_series_match_reference(prices, config):
     assert_matches_reference(prices, config)
 
@@ -225,6 +226,7 @@ def test_raises_exactly_where_the_reference_table_is_not_finite(prices, config):
 
 #: one battery per grid size, on both sides of KERNEL_MAX_LEVELS
 GRIDS = {
+    2: BatteryConfig(capacity_kwh=1.0, rate_kw=1.0, window_hours=1),  # every cell folded
     3: BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=1),
     6: BatteryConfig(),
     8: BatteryConfig(capacity_kwh=7.0, rate_kw=1.0, window_hours=1),
