@@ -16,7 +16,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from conftest import assert_decisive, greedy_tables, pinned_for_blas_core, random_walk, square_wave_series
+from conftest import DECISION_MARGIN, assert_decisive, greedy_tables, pinned_for_blas_core, random_walk, square_wave_series
 from rtp_arb import (
     AdamState,
     BatteryConfig,
@@ -26,11 +26,13 @@ from rtp_arb import (
     PriceSeries,
     cross_test,
     forward_batch,
+    greedy_rollout,
     hindsight_optimal,
     init_network,
     save_checkpoint,
     train_agent,
 )
+from rtp_arb.env import charge_grid
 
 
 def checkpoint_sha256(ckpt: Checkpoint, tmp_path) -> str:
@@ -125,6 +127,31 @@ def test_small_cross_test_raw_matrix():
         [81.812, 1.3215000000000083, 73.88049999999996],
         [21.97450000000001, -15.764999999999983, 138.20950000000002],
     ]
+
+
+@pytest.mark.parametrize(
+    "seed, value, digest",
+    [
+        (9, -142.7306214291747, "6100231dd636487b32b8f562923ae08ecafa453dc9cb929cde4a02a30304407a"),
+        (13, 863.0333462635699, "3cc8a6b09e3af42ed5faf23977f0ec195451c0e66bf087924a91020cb96dc641"),
+    ],
+)
+def test_greedy_rollout_of_a_year(seed, value, digest):
+    # a random-init net on a random-walk year of the default battery: 8,759
+    # steps, so 273 blocks of 32 hours and a last one of 23
+    config = BatteryConfig()
+    prices = random_walk(seed, 8760)
+    net = init_network(config.window_hours, seed)
+    norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
+    total, actions, charges = greedy_rollout(net, norm, prices, config)
+    assert repr(total) == repr(value)
+    assert hashlib.sha256(bytes(int(a) for a in actions)).hexdigest() == digest
+    # every decision taken clears the margin, so the pin holds on any BLAS kernel
+    levels, _, _, empty = charge_grid(prices, config)
+    x = np.array(norm.price_windows(prices.prices, config.window_hours + 1)[1:])
+    x[:, -1] = np.array([levels[empty], *charges[:-1]]) / norm.charge_scale
+    q = np.sort(forward_batch(net, x), axis=1)
+    assert np.all(q[:, -1] - q[:, -2] >= DECISION_MARGIN)
 
 
 @pytest.mark.parametrize(
