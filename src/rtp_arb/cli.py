@@ -33,7 +33,7 @@ from typing import Any, Callable, get_type_hints
 from .dqn import load_checkpoint, save_checkpoint
 from .env import Action, BatteryConfig
 from .errors import ConfigError, RtpArbError, ValidationError
-# write_cross_test_csv goes unused: benchmarks/tracing.py patches it by name (ROADMAP item 1)
+# write_cross_test_csv goes unused: benchmarks/tracing.py patches it by name (ROADMAP item 17)
 from .experiment import (
     DEFAULT_EVAL_EVERY,
     DEFAULT_TOTAL_STEPS,

@@ -37,7 +37,7 @@ from .dqn import (
     sync_target,
     train_step,
 )
-# reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 1)
+# reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 17)
 from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step, utc_start
 from .errors import ConfigError, RtpArbError, TrainingDivergedError, ValidationError
 from .network import (
@@ -63,14 +63,15 @@ DAILY_POLICY_HEADER = "hour_start_utc,price_cents_per_kwh,action,charge_kwh_afte
 DEFAULT_TOTAL_STEPS = 200_000
 DEFAULT_EVAL_EVERY = 10_000
 
-#: Rows per batched forward in greedy evaluation: a block holds as many
-#: whole hours as fit, at least one, each a row per charge level (32 hours
+#: Cells per batched forward in greedy evaluation: a block holds as many
+#: whole hours as fit, at least one, each a cell per charge level (32 hours
 #: of the default battery's 6 levels). Blocks bound the working set whatever
-#: the series length and the grid, and on the rollout's preallocated
-#: workspace 32 hours measured fastest at the default battery: a year of
-#: rollouts took longer in 64- and 96-hour blocks. On other grids a year in
-#: 192-row blocks ran no slower than in 32-hour blocks: 1.16x and 1.10x as
-#: fast at 3 and 8 levels, 1.33x at 101 and 1.45x at 1,001 (one-hour blocks).
+#: the series length and the grid. With the first layer split, a year at
+#: the default battery took 1.16x as long in 96-cell blocks and 1.05x in
+#: 288- and 384-cell blocks (medians of 12 interleaved rounds). Before the
+#: split, 192-cell blocks ran no slower than 32-hour blocks on any grid
+#: measured (1.33x as fast at 101 levels and 1.45x at 1,001, in one-hour
+#: blocks).
 GREEDY_BLOCK_ROWS = 192
 
 @dataclass(frozen=True)
@@ -149,18 +150,20 @@ def greedy_rollout(
 
     The actions and return are exactly those of stepping the environment
     with ``select_action(forward(net, obs, norm), 0.0)``, computed without
-    stepping it (the batched Q-values agree with ``forward``'s to a few
-    ulps, not bit for bit), on the :func:`rtp_arb.env.charge_grid` that
-    :func:`train_agent` and the oracle walk too: an observation
-    is a pure function of (hour index, charge level), so batched forwards
-    fill a table of the greedy action at every grid point, one block of
-    hours at a time, and the episode is an integer walk through each block
-    of that table and the successor lists. Rewards accumulate in step order.
-    The rows come from the pair-window matrix that training reads (see
+    stepping it, on the :func:`rtp_arb.env.charge_grid` that
+    :func:`train_agent` and the oracle walk too: an observation is a pure
+    function of (hour index, charge level), so batched forwards fill a table
+    of the greedy action at every grid point, one block of hours at a time,
+    and the episode is an integer walk through each block of that table and
+    the successor lists. Rewards accumulate in step order. The windows come
+    from the pair-window matrix that training reads (see
     :meth:`ObservationNormalizer.price_windows`). The blocks run on one
-    :class:`rtp_arb.network.BlockForward` per call, with the Q-value bits of
-    :func:`rtp_arb.network.forward_batch` on the same rows: its tiled biases
-    are copies, valid because the network does not change during a rollout.
+    :class:`rtp_arb.network.BlockForward` per call, which multiplies an
+    hour's window by the first layer once for all its charge levels; its
+    level rows and tiled biases are copies, valid because the network does
+    not change during a rollout. Its Q-values agree with ``forward``'s to a
+    few ulps, not bit for bit; the reference tests check that no decision
+    comes near a tie.
 
     A network whose input width does not fit ``config`` (a checkpoint
     evaluated with another window) is a ConfigError; a normalized input or a
@@ -183,19 +186,17 @@ def greedy_rollout(
         # an input or Q-value past the float range has no greedy action
         with np.errstate(over="raise", invalid="raise"):
             pairs = norm.price_windows(prices.prices, config.window_hours + 1)
-            # Block row h * n_levels + j is (hour lo + h, levels[j]): the charge
-            # column is the same in every block, the price columns are pair rows.
             block_hours = min(max(GREEDY_BLOCK_ROWS // n_levels, 1), n_steps)
-            fwd = BlockForward(net, block_hours * n_levels)
-            fwd.x[:, -1] = np.tile(levels, block_hours) / norm.charge_scale
-            windows = fwd.x.reshape(block_hours, n_levels, -1)[:, :, :-1]
+            fwd = BlockForward(net, block_hours, np.array(levels) / norm.charge_scale)
             for lo in range(0, n_steps, block_hours):
-                hi = min(lo + block_hours, n_steps)
-                windows[: hi - lo] = pairs[lo + 1 : hi + 1, None, :-1]
-                greedy = fwd((hi - lo) * n_levels).argmax(axis=1).reshape(hi - lo, n_levels).tolist()
-                for n, row in enumerate(greedy, lo):
+                # the last block ends at the last step, overlapping the one before
+                start = min(lo, n_steps - block_hours)
+                fwd.windows[:] = pairs[start + 1 : start + block_hours + 1, :-1]
+                # greedy[j][h]: the greedy action at (hour start + h, levels[j])
+                greedy = fwd().argmax(axis=1).reshape(n_levels, block_hours).tolist()
+                for n in range(lo, min(lo + block_hours, n_steps)):
                     total += levels[i] * deltas[n]
-                    a = row[i]
+                    a = greedy[i][n - start]
                     i = succ[i][a]
                     codes.append(a)
                     path.append(i)

@@ -181,73 +181,104 @@ def forward_batch(net: QNetwork, x: np.ndarray) -> np.ndarray:
     return _activations(net, x)[-1]
 
 
+def _layers(h: np.ndarray, layers: list[tuple]) -> np.ndarray:
+    """Run ``h`` through ``(weights, biases, out, zero)`` layers: per layer the
+    gemm of :func:`forward_batch` into ``out``, the add of ``biases`` (tiled
+    or broadcast to ``out``'s rows), then the ReLU against the ``zero`` block,
+    unless it is None."""
+    for w, b, out, zero in layers:
+        h = np.matmul(h, w, out=out)
+        h += b
+        if zero is not None:
+            np.maximum(h, zero, out=h)
+    return h
+
+
 class BlockForward:
-    """:func:`forward_batch` over blocks of at most ``rows`` rows, on buffers
-    allocated once.
+    """Q-values of every (hour, charge level) cell of a block of ``hours``
+    hours, on buffers allocated once.
 
-    Fill the first ``n`` rows of the input block ``x`` and call ``self(n)``
-    for their Q-values, the bits :func:`forward_batch` gives on those rows:
-    each layer is the same gemm, written into its output buffer, then the
-    same elementwise add and ReLU, against biases tiled to ``rows`` rows and
-    a zero block in place of numpy's broadcasting. The ``n``-row views of
-    these buffers are made once per block size, so a call takes no slices.
-    The result is a view into the workspace, overwritten by the next call.
+    Fill ``windows`` and call ``self()`` for the Q-values (levels * hours,
+    3), level-major: row ``j * hours + h`` is the cell whose input row is
+    ``windows[h]`` then ``charges[j]``. The first layer is split along that
+    seam: one gemm a block multiplies the windows by ``W0[:-1]``, and each
+    level's rows are a copy of that product plus the level's row
+    ``charges[j] * W0[-1] + b0``, computed once and tiled to the block, in
+    one contiguous add. Later layers are the gemm, add and ReLU of
+    :func:`forward_batch`, against biases tiled to the block and a zero
+    block in place of numpy's broadcasting. The split sums in another order
+    than :func:`forward_batch` on the full rows, so the Q-values agree with
+    it to a few ulps, not bit for bit. The result is a view into the
+    workspace, overwritten by the next call.
 
-    The tiled biases are copies: they are valid only while ``net`` is
-    unchanged, as it is within one greedy rollout, and not across training
-    updates. :class:`RowForward` is the one-row workspace that is.
+    The level rows and tiled biases are copies, valid only while ``net`` is
+    unchanged, as it is within one greedy rollout.
     """
 
-    def __init__(self, net: QNetwork, rows: int):
-        self.x = np.empty((rows, net.input_dim))
+    def __init__(self, net: QNetwork, hours: int, charges: np.ndarray):
+        rows = hours * len(charges)
+        w0, b0 = net.weights[0], net.biases[0]
+        self.windows = np.empty((hours, net.input_dim - 1))
+        self._w0 = w0[:-1]
+        self._product = np.empty((hours, w0.shape[1]))
+        # level j's row once for each hour of the block
+        self._level_rows = np.multiply.outer(np.repeat(charges, hours), w0[-1])
+        self._level_rows += b0
+        self._first = np.empty((rows, w0.shape[1]))
+        self._cells = self._first.reshape(len(charges), hours, -1)
+        # a zero block for each layer but the last, which has no ReLU
         zeros = np.zeros((rows, max(net.layer_dims[1:-1], default=0)))
-        # per layer: weights, tiled biases, output buffer, zero block (None: no ReLU)
-        self.layers = [
-            (w, np.tile(b, (rows, 1)), np.empty((rows, w.shape[1])), zeros[:, : w.shape[1]])
-            for w, b in zip(net.weights, net.biases)
+        self._relu, *relu = [zeros[:, :d] for d in net.layer_dims[1:-1]] + [None]
+        self._later = [
+            (w, np.tile(b, (rows, 1)), np.empty((rows, w.shape[1])), zero)
+            for w, b, zero in zip(net.weights[1:], net.biases[1:], relu)
         ]
-        self.layers[-1] = (*self.layers[-1][:3], None)
-        self._blocks: dict[int, tuple] = {}
 
-    def __call__(self, n: int) -> np.ndarray:
-        try:
-            h, layers = self._blocks[n]
-        except KeyError:
-            h, layers = self._blocks[n] = self.x[:n], [
-                (w, b[:n], out[:n], None if zero is None else zero[:n]) for w, b, out, zero in self.layers
-            ]
-        for w, b, out, zero in layers:
-            h = np.matmul(h, w, out=out)
-            h += b
-            if zero is not None:
-                np.maximum(h, zero, out=h)
-        return h
+    def __call__(self) -> np.ndarray:
+        np.matmul(self.windows, self._w0, out=self._product)
+        np.copyto(self._cells, self._product)
+        h = self._first
+        h += self._level_rows
+        if self._relu is not None:
+            np.maximum(h, self._relu, out=h)
+        return _layers(h, self._later)
 
 
-class RowForward(BlockForward):
-    """A one-row :class:`BlockForward` on the live parameters: the act path
-    of training.
+class RowForward:
+    """A one-row :func:`forward_batch` on the live parameters, on buffers
+    allocated once: the act path of training.
 
     Fill ``x[0]`` and call ``self(1)[0]`` for that row's Q-values (3,), the
-    bits :func:`forward_batch` gives on it. The biases are (1, d) views of
-    ``net.biases``, not tiled copies, so the workspace follows every in-place
-    update of ``net`` and one serves a whole training run.
+    bits :func:`forward_batch` gives on it: each layer is the same gemm,
+    written into its output buffer, then the same elementwise add and ReLU.
+    The biases are (1, d) views of ``net.biases``, not copies, so the
+    workspace follows every in-place update of ``net`` and one serves a
+    whole training run.
     """
 
     def __init__(self, net: QNetwork):
-        super().__init__(net, 1)
-        self.layers = [(w, b[None], out, zero) for (w, _, out, zero), b in zip(self.layers, net.biases)]
+        self.x = np.empty((1, net.input_dim))
+        last = len(net.weights) - 1
+        self.layers = [
+            (w, b[None], np.empty((1, w.shape[1])), None if k == last else np.zeros((1, w.shape[1])))
+            for k, (w, b) in enumerate(zip(net.weights, net.biases))
+        ]
+
+    def __call__(self, n: int) -> np.ndarray:
+        return _layers(self.x[:n], self.layers)
 
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:
     """Q-values (3,) for one raw observation.
 
-    The readable specification of what the agent acts on. Training and
-    evaluation run :func:`forward_batch` on rows of
-    :meth:`ObservationNormalizer.price_windows` ``(prices, L + 1)`` instead: a
-    row inside a batch of several rounds differently in the last bits, so
-    their Q-values agree with these to a few ulps, while the actions and
-    returns match exactly, as the reference tests check.
+    The readable specification of what the agent acts on. Training runs
+    :func:`forward_batch` on rows of
+    :meth:`ObservationNormalizer.price_windows` ``(prices, L + 1)`` instead,
+    and evaluation :class:`BlockForward` on their windows: a row inside a
+    batch of several rounds differently in the last bits, and the blocks
+    split the first layer, so their Q-values agree with these to a few ulps,
+    while the actions and returns match exactly, as the reference tests
+    check.
     """
     return forward_batch(net, norm.apply(obs.vector()[None]))[0]
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rtp_arb import BatteryConfig, FeedSamples, PriceSeries, experiment, greedy_rollout, network
+from rtp_arb.env import charge_grid
 
 START = datetime(2018, 1, 1, tzinfo=timezone.utc)
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -131,28 +132,47 @@ DECISION_MARGIN = 1e-9
 
 
 def greedy_blocks(net, norm, prices, config):
-    """``greedy_rollout``'s result, plus the input rows and Q-values of each of
-    its block forwards, in order, as a list of (x, q) pairs."""
+    """``greedy_rollout``'s result, plus each of its block forwards, in order,
+    as a list of (start, windows, q) triples: the block's first hour, its
+    hour windows (hours, L) and the Q-values (hours, levels, 3) of each of its
+    (hour, charge level) cells. Blocks are consecutive, but the last ends at
+    the last step, so it may start inside the one before."""
     blocks = []
 
     class Recording(network.BlockForward):
-        def __call__(self, n):
-            q = super().__call__(n)
-            blocks.append((self.x[:n].copy(), q.copy()))
+        def __call__(self):
+            q = super().__call__()
+            n = len(self.windows)
+            blocks.append((self.windows.copy(), q.reshape(-1, n, q.shape[1]).transpose(1, 0, 2).copy()))
             return q
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiment, "BlockForward", Recording)
         got = greedy_rollout(net, norm, prices, config)
-    return got, blocks
+    n_steps = len(prices) - 1
+    return got, [(min(k * len(w), n_steps - len(w)), w, q) for k, (w, q) in enumerate(blocks)]
+
+
+def full_rows(windows, norm, prices, config):
+    """The network inputs (hours, levels, L + 1) of the (hour, charge level)
+    cells of hour ``windows`` (hours, L): each window, then each level of
+    ``prices``'s grid over ``charge_scale``, as ``forward`` reads them."""
+    levels = np.array(charge_grid(prices, config)[0])
+    x = np.empty((len(windows), len(levels), windows.shape[1] + 1))
+    x[:, :, :-1] = windows[:, None]
+    x[:, :, -1] = levels / norm.charge_scale
+    return x
 
 
 def greedy_tables(net, norm, prices, config):
     """``greedy_rollout``'s result, plus the input rows and Q-values of its
     block forwards as (hour, charge level) tables."""
     got, blocks = greedy_blocks(net, norm, prices, config)
-    x, q = (np.concatenate(col) for col in zip(*blocks))
-    return got, x.reshape(len(prices) - 1, -1, x.shape[1]), q.reshape(len(prices) - 1, -1, q.shape[1])
+    hours = len(blocks[0][1])
+    # block k gives the hours from k * hours on, those the one before left
+    windows = np.concatenate([w[k * hours - start :] for k, (start, w, _) in enumerate(blocks)])
+    q = np.concatenate([q[k * hours - start :] for k, (start, _, q) in enumerate(blocks)])
+    return got, full_rows(windows, norm, prices, config), q
 
 
 def assert_decisive(q_one, q_batch):

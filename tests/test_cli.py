@@ -869,4 +869,4 @@ class TestMalformedCheckpoints:
         net.weights[0][:, :] = 1.7e308
         code, err = self.eval_checkpoint(tmp_path, capsys, net)
         assert code == 1
-        assert err == "error: greedy evaluation left the float range: overflow encountered in matmul\n"
+        assert err == "error: greedy evaluation left the float range: overflow encountered in multiply\n"

@@ -6,8 +6,9 @@ The reference below is the plain loop it replaced (reset, then step with the
 single-observation ``forward`` and ``select_action``); the two must agree
 exactly, return and every action and charge. The Q-values behind those
 actions agree to a few ulps, not bit for bit: a row inside a batched matmul
-rounds differently from the same row alone. So every decision the reference
-takes is also checked to be far from a tie.
+rounds differently from the same row alone, and the blocks split the first
+layer between an hour's window and its charge level. So every decision the
+reference takes is also checked to be far from a tie.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from conftest import (
     assert_decisive,
     continuous_configs,
     continuous_prices,
+    full_rows,
     greedy_blocks,
     greedy_tables,
     make_series,
@@ -105,44 +107,47 @@ def test_matches_stepwise_rollout(config, hours, seed):
         i = succ[i][a]
 
 
-def former_blocks(norm, prices, config):
-    """The input blocks greedy evaluation built per block before its workspace:
-    each pair row repeated once per charge level, then the scaled levels."""
-    levels, _, _, _ = charge_grid(prices, config)
-    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
-    scaled_levels = np.tile(levels, block_hours(config)) / norm.charge_scale
-    n_steps = len(prices) - 1
-    for lo in range(0, n_steps, block_hours(config)):
-        hi = min(lo + block_hours(config), n_steps)
-        x = np.repeat(pairs[lo + 1 : hi + 1], len(levels), axis=0)
-        x[:, -1] = scaled_levels[: len(x)]
-        yield x
-
+#: hidden widths the blocks are checked on: none (the first layer is the
+#: output), one, two and three hidden layers, and the default network
+HIDDEN = [(), (8,), (16, 8), (8, 16, 4), (64, 64)]
 
 # M = 2 and 5; exactly one block of the default battery; an odd-length last
-# block; a year and a leap year; exactly one block of each other battery;
-# blocks of one hour
-@pytest.mark.parametrize(
-    "hours, config, hidden",
-    [(h, c, (64, 64)) for h in (2, 5, BLOCK_HOURS + 1, 3 * BLOCK_HOURS + 8) for c in CONFIGS]
-    + [(h, CONFIGS[0], hidden) for h in (8760, 8784) for hidden in ((64, 64), (16, 8))]
-    + [(3 * BLOCK_HOURS + 8, CONFIGS[1], hidden) for hidden in ((8,), (16, 8), (8, 16, 4))]
-    + [(block_hours(c) + 1, c, (64, 64)) for c in CONFIGS[1:]]
-    + [(h, WIDE, (16, 8)) for h in (2, 7)],
+# block; a year (its last block overlaps the one before by 9 hours) and a
+# leap year; exactly one block and one step past a block of each other
+# battery; blocks of one hour
+BLOCK_CASES = (
+    [(h, c) for h in (2, 5, BLOCK_HOURS + 1, 3 * BLOCK_HOURS + 8) for c in CONFIGS]
+    + [(h, CONFIGS[0]) for h in (8760, 8784)]
+    + [(block_hours(c) + k, c) for c in CONFIGS[1:] for k in (1, 2)]
+    + [(h, WIDE) for h in (2, 7)]
 )
-def test_block_q_values_are_forward_batch_bits(hours, config, hidden):
+
+
+@pytest.mark.parametrize("hidden", HIDDEN, ids=lambda h: "hidden-" + "-".join(map(str, h)))
+@pytest.mark.parametrize(
+    "hours, config",
+    BLOCK_CASES,
+    ids=[f"{h}-{c.capacity_kwh}-{c.rate_kw}-{c.window_hours}" for h, c in BLOCK_CASES],
+)
+def test_block_q_values_agree_with_forward_batch(hours, config, hidden):
     # the workspace reuses its buffers from block to block; every block it
-    # runs must be the former block, row for row, with forward_batch's bits
+    # runs must read the pair rows bit for bit and give the Q-values of
+    # forward_batch on the full rows, up to the split first layer's rounding
     prices = random_walk(hours, hours)
     net = init_network(config.window_hours, hours, hidden_dims=hidden)
     norm = ObservationNormalizer.from_series(prices.prices, config.capacity_kwh)
+    pairs = norm.price_windows(prices.prices, config.window_hours + 1)
+    n_levels = len(reachable_charges(config))
     _, blocks = greedy_blocks(net, norm, prices, config)
-    want = list(former_blocks(norm, prices, config))
-    assert len(blocks) == len(want) == -(-(hours - 1) // block_hours(config))
-    assert all(len(x) <= max(GREEDY_BLOCK_ROWS, len(reachable_charges(config))) for x, _ in blocks)
-    for (x, q), block in zip(blocks, want):
-        assert x.tobytes() == block.tobytes()
-        assert q.tobytes() == forward_batch(net, block).tobytes()
+    hours_per_block = min(block_hours(config), hours - 1)
+    assert len(blocks) == -(-(hours - 1) // hours_per_block)
+    assert hours_per_block * n_levels <= max(GREEDY_BLOCK_ROWS, n_levels)
+    for start, windows, q in blocks:
+        assert len(windows) == hours_per_block
+        assert windows.tobytes() == pairs[start + 1 : start + 1 + len(windows), :-1].tobytes()
+        x = full_rows(windows, norm, prices, config)
+        want = forward_batch(net, x.reshape(-1, x.shape[-1])).reshape(q.shape)
+        assert np.all(np.abs(q - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 @settings(max_examples=40, deadline=None)
