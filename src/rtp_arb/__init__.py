@@ -8,6 +8,8 @@ benchmarking, ingestion of the public 5-minute price feed, the train /
 evaluate / cross-test experiment protocol, and a command-line front end.
 """
 
+import types
+
 from .env import (
     DEFAULT_CAPACITY_KWH,
     DEFAULT_RATE_KW,
@@ -96,76 +98,10 @@ from .experiment import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Action",
-    "AdamState",
-    "BatteryConfig",
-    "BRUTE_FORCE_MAX_STEPS",
-    "Checkpoint",
-    "CheckpointError",
-    "ConfigError",
-    "CrossTestMatrix",
-    "DailyPolicyTrace",
-    "DEFAULT_CAPACITY_KWH",
-    "DEFAULT_RATE_KW",
-    "DEFAULT_WINDOW_HOURS",
-    "EnvState",
-    "EpisodeFinishedError",
-    "EpsilonSchedule",
-    "FeedSamples",
-    "HOUR",
-    "HindsightPlan",
-    "Hyperparams",
-    "IngestReport",
-    "InsufficientDataError",
-    "Observation",
-    "ObservationNormalizer",
-    "ParseError",
-    "PriceSeries",
-    "QNetwork",
-    "ReplayBuffer",
-    "RtpArbError",
-    "TrainingCurve",
-    "TrainingDivergedError",
-    "Transition",
-    "TransportError",
-    "ValidationError",
-    "adam_update",
-    "aggregate_hourly",
-    "apply_action",
-    "brute_force_optimal",
-    "checkpoint_config",
-    "cross_test",
-    "daily_policy_trace",
-    "default_data_dir",
-    "emit_outputs",
-    "episode_return",
-    "epsilon_at",
-    "evaluate_greedy",
-    "fetch_five_minute_feed",
-    "forward",
-    "forward_batch",
-    "greedy_rollout",
-    "hindsight_optimal",
-    "idle_policy",
-    "init_network",
-    "load_checkpoint",
-    "push_transition",
-    "reachable_charges",
-    "read_price_csv",
-    "reset",
-    "reward",
-    "sample_batch",
-    "save_checkpoint",
-    "select_action",
-    "simulate",
-    "step",
-    "sync_target",
-    "td_loss_and_grads",
-    "td_targets",
-    "threshold_policy",
-    "train_agent",
-    "train_step",
-    "write_price_csv",
-    "year_csv_path",
-]
+#: The public API: every name imported above that is not a module, so the
+#: import blocks are its only list
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

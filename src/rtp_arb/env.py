@@ -232,8 +232,6 @@ def reset(
     The default initial charge is 0 (an empty battery holds no assets to be
     marked against the price).
     """
-    if len(prices) < 2:
-        raise ConfigError("price series too short for an episode (need >= 2 hours)")
     if not 0.0 <= initial_charge <= config.capacity_kwh:
         raise ValueError(
             f"initial charge {initial_charge} outside [0, {config.capacity_kwh}]"

@@ -41,6 +41,7 @@ from .dqn import (
 from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step, utc_start
 from .errors import ConfigError, RtpArbError, TrainingDivergedError, ValidationError
 from .network import (
+    ACTION_COUNT,
     AdamState,
     BlockForward,
     ObservationNormalizer,
@@ -166,17 +167,17 @@ def greedy_rollout(
     comes near a tie.
 
     A network whose input width does not fit ``config`` (a checkpoint
-    evaluated with another window) is a ConfigError; a normalized input or a
-    Q-value past the float range (parameters or prices far out of scale) is a
-    ValidationError.
+    evaluated with another window) is a ConfigError; a normalized input, a
+    Q-value or a return past the float range (parameters or prices far out of
+    scale) is a ValidationError.
     """
     if net.input_dim != config.window_hours + 1:
         raise ConfigError(
             f"network expects observation width {net.input_dim}, "
             f"config window needs {config.window_hours + 1}"
         )
-    if net.layer_dims[-1] != len(Action):
-        raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {len(Action)}")
+    if net.layer_dims[-1] != ACTION_COUNT:
+        raise ValueError(f"network has {net.layer_dims[-1]} outputs, expected {ACTION_COUNT}")
     levels, succ, deltas, i = charge_grid(prices, config)
     n_steps, n_levels = len(prices) - 1, len(levels)
     total = 0.0
@@ -202,6 +203,9 @@ def greedy_rollout(
                     path.append(i)
     except FloatingPointError as exc:
         raise ValidationError(f"greedy evaluation left the float range: {exc}") from None
+    # the rewards are Python floats, which overflow to inf or NaN without an error
+    if not math.isfinite(total):
+        raise ValidationError("greedy return is not finite: prices beyond float range")
     return total, list(map(ACTIONS.__getitem__, codes)), list(map(levels.__getitem__, path))
 
 
@@ -283,7 +287,7 @@ def train_agent(
                 if a is None:
                     window[:] = pairs[n + 1, :-1]
                     charge[0] = levels[i] / norm.charge_scale
-                    a = select_action(act(1)[0], 0.0)
+                    a = select_action(act()[0], 0.0)
                 j = succ[i][a]
                 done = n + 1 == last_hour
                 push_transition(buffer, n, levels[i], a, levels[i] * deltas[n], levels[j], done)

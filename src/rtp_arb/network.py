@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import Observation
+from .env import ACTIONS, Observation
 from .errors import ValidationError
 
 #: Hidden layer widths of the default architecture.
 HIDDEN_DIMS = (64, 64)
 #: One output node per action.
-ACTION_COUNT = 3
+ACTION_COUNT = len(ACTIONS)
 
 
 def _pack(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -248,7 +248,7 @@ class RowForward:
     """A one-row :func:`forward_batch` on the live parameters, on buffers
     allocated once: the act path of training.
 
-    Fill ``x[0]`` and call ``self(1)[0]`` for that row's Q-values (3,), the
+    Fill ``x[0]`` and call ``self()[0]`` for that row's Q-values (3,), the
     bits :func:`forward_batch` gives on it: each layer is the same gemm,
     written into its output buffer, then the same elementwise add and ReLU.
     The biases are (1, d) views of ``net.biases``, not copies, so the
@@ -264,8 +264,8 @@ class RowForward:
             for k, (w, b) in enumerate(zip(net.weights, net.biases))
         ]
 
-    def __call__(self, n: int) -> np.ndarray:
-        return _layers(self.x[:n], self.layers)
+    def __call__(self) -> np.ndarray:
+        return _layers(self.x, self.layers)
 
 
 def forward(net: QNetwork, obs: Observation, norm: ObservationNormalizer) -> np.ndarray:

@@ -783,6 +783,54 @@ class TestManifestAndPlotErrors:
             assert chart.read_bytes() == existing
 
 
+class TestGreedyReturnOverflow:
+    """Prices whose rewards leave the float range while every Q-value stays
+    finite: greedy evaluation once returned NaN or inf, which ``eval``
+    printed as "nan cents" and ``cross-test`` wrote into its CSV, exiting 0."""
+
+    @staticmethod
+    def always_charging_checkpoint(path):
+        # an agent trained at a price scale of 1e150, whose zero output
+        # weights and biases pick the first action, charge, at every hour
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        net.weights[-1][:] = 0.0
+        net.biases[-1][:] = [1.0, 0.0, 0.0]
+        norm = ObservationNormalizer(0.0, 1e150, 4.0)
+        save_checkpoint(net, AdamState.for_network(net), norm, TestMalformedCheckpoints.BATTERY, path)
+        return str(path)
+
+    # the first step is past the float range, so the empty level's reward is
+    # 0.0 * -inf; the second has finite steps, but the full level's rewards
+    # overflow
+    SERIES = pytest.mark.parametrize("values", [[1e308, -1e308] * 24, [8e307, -8e307] * 24], ids=["inf-step", "finite-step"])
+    MESSAGE = "error: greedy return is not finite: prices beyond float range\n"
+
+    @SERIES
+    def test_eval(self, values, tmp_path, capsys, clean_env):
+        ckpt = self.always_charging_checkpoint(tmp_path / "agent.ckpt")
+        prices = write_series_csv(tmp_path / "p.csv", values)
+        assert run(["eval", "--checkpoint", ckpt, "--prices", prices]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.MESSAGE
+
+    @SERIES
+    def test_cross_test(self, values, tmp_path, capsys, clean_env):
+        self.always_charging_checkpoint(tmp_path / "agent.ckpt")
+        rows = ["year,checkpoint_path,prices_path"]
+        for year in (2021, 2022):
+            write_series_csv(tmp_path / f"p{year}.csv", values, year)
+            rows.append(f"{year},agent.ckpt,p{year}.csv")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("\n".join(rows) + "\n")
+        out_dir = tmp_path / "out"
+        assert run(["cross-test", "--manifest", str(manifest), "--out-dir", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == self.MESSAGE
+        assert not (out_dir / "cross_test.csv").exists()
+
+
 class TestMalformedCheckpoints:
     """Hand-made checkpoints that once escaped as tracebacks exit 1 with a message."""
 

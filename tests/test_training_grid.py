@@ -159,8 +159,8 @@ def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
             super().__init__(net)
             self.net = net
 
-        def __call__(self, n):
-            q = super().__call__(n)
+        def __call__(self):
+            q = super().__call__()
             got_rows.append(self.x.tobytes())
             act_q.append((q.tobytes(), forward_batch(self.net, self.x).tobytes()))
             return q
