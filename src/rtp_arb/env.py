@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Iterable, Sequence
@@ -72,8 +73,8 @@ class BatteryConfig:
             raise ConfigError(f"capacity_kwh must be positive, got {self.capacity_kwh}")
         if not (math.isfinite(self.rate_kw) and self.rate_kw > 0):
             raise ConfigError(f"rate_kw must be positive, got {self.rate_kw}")
-        if self.window_hours < 1:
-            raise ConfigError(f"window_hours must be >= 1, got {self.window_hours}")
+        if not (isinstance(self.window_hours, numbers.Integral) and self.window_hours >= 1):
+            raise ConfigError(f"window_hours must be an integer >= 1, got {self.window_hours!r}")
 
     @property
     def step_energy_kwh(self) -> float:

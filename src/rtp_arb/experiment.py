@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -94,8 +95,9 @@ class Hyperparams:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "buffer_capacity", "learning_starts", "update_every", "target_sync_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            count = getattr(self, name)
+            if not (isinstance(count, numbers.Integral) and count >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {count!r}")
         # the ring holds at most buffer_capacity transitions, so a larger batch
         # is never sampled and the run would end without a single update
         if self.batch_size > self.buffer_capacity:

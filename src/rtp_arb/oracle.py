@@ -4,12 +4,12 @@ With the whole price series on the table, the best possible action sequence
 is computable exactly: the clamped +/-rate moves from an empty start can only
 ever visit a small finite set of charge levels (see
 :func:`rtp_arb.env.reachable_charges`), so a backward sweep over the
-(hour, charge-level) grid of :func:`rtp_arb.env.charge_grid`, in plain
-Python floats, solves a year in about 4.5 ms at the default 6 levels,
-keeping one action byte per (hour, level) cell and a single row of values.
-On grids of up to ``KERNEL_MAX_LEVELS`` levels the sweep runs as
-straight-line code generated and compiled once per grid, with only the
-comparisons the grid leaves open; larger grids run a loop over the cells.
+(hour, charge-level) grid of :func:`rtp_arb.env.charge_grid` solves a year
+in about 4.5 ms at the default 6 levels, keeping one action byte per
+(hour, level) cell and a single row of values. On grids of up to
+``KERNEL_MAX_LEVELS`` levels the sweep runs as straight-line Python
+generated and compiled once per grid, with only the comparisons the grid
+leaves open; larger grids sweep in numpy, one row an hour.
 The resulting value is an upper bound on what any causal policy, learned or
 hand-written, can earn on that series, which makes it the yardstick the
 trained agent is measured against.
@@ -22,7 +22,6 @@ nothing) for benchmark floors.
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -40,11 +39,11 @@ BRUTE_FORCE_MAX_STEPS = 12
 FINITE_BOUND = 2.0**1000
 
 #: Grids of at most this many levels sweep in :func:`_sweep_kernel`'s
-#: compiled code; larger ones, and prices past FINITE_BOUND, in the loop.
+#: compiled code; larger ones, and prices past FINITE_BOUND, in numpy.
 #: A compile's time and peak memory grow with the level count (12 ms and
-#: 5 MiB under tracemalloc at 64 levels, 65 ms and 20 MiB at 256), while its
-#: gain stays 1.6-1.8x from 16 to 256 levels: at 64, the first call's peak
-#: stays below that of a year's loop sweep at 1,001 levels (9.6 MiB).
+#: 5 MiB under tracemalloc at 64 levels, 65 ms and 20 MiB at 256), and by
+#: 64 levels the numpy sweep is as fast: the first call's peak there stays
+#: below that of a year's numpy sweep at 1,001 levels (10.0 MiB).
 KERNEL_MAX_LEVELS = 64
 
 
@@ -68,23 +67,23 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     action code, so the plan matches the greedy agent's tie-break and is
     reproducible. The plan is read off forward by walking those codes.
 
-    Each cell costs one product and one sum of Python floats, and the best
-    successor is found by two strict comparisons, which is exact: the
-    values hold no NaN and no -0.0 (the last row is +0.0, and a sum is -0.0
-    only if both terms are), so every maximum has the same bits. On grids of
-    at most ``KERNEL_MAX_LEVELS`` levels whose rows need no check (below),
-    the sweep runs in :func:`_sweep_kernel`'s code, compiled on the first
-    call per grid; otherwise in :func:`_sweep_loop`. Both make the same
-    comparisons and sums in the same order, so they give the same bits; the
-    kernel leaves out only those whose outcome its grid fixes.
+    Each cell costs one product and one sum of floats, and the best
+    successor is the first maximum, which is exact: the values hold no NaN
+    and no -0.0 (the last row is +0.0, and a sum is -0.0 only if both terms
+    are), so every maximum has the same bits. On grids of at most
+    ``KERNEL_MAX_LEVELS`` levels whose rows need no check (below), the
+    sweep runs in :func:`_sweep_kernel`'s code, compiled on the first call
+    per grid; otherwise in :func:`_sweep_numpy`. Both make the same products
+    and sums in the same order, so they give the same bits; the kernel
+    leaves out only what its grid fixes.
 
-    Timings are medians of 50 calls on a 2-core x86-64 VM shared with other
-    tenants, under CPython 3.11. A year at the default 6 levels takes
-    4.2-4.8 ms in the kernel against 6.5 ms in the loop (1.5x; 48-60 ms for
-    the vectorized numpy sweep); at 16-256 levels the kernel is 1.6-1.8x
-    faster. The first call per grid also pays the compile: 1 ms at 6
+    Timings are medians on a 2-core x86-64 VM shared with other tenants,
+    under CPython 3.11 and numpy 2.4, on a random-walk year. At 6 levels the
+    kernel takes 4.2-4.8 ms and numpy 27 ms (42 ms with each row checked);
+    at 64 levels numpy's 33-36 ms matches the kernel, and 1,001 levels take
+    156 ms. The first call per grid also pays the compile: 1 ms at 6
     levels, 12 ms at 64. A compiled kernel keeps about 0.8 KiB a level, and
-    at most eight are kept. 1,001 levels over 8,760 hours peak at 9.6 MiB
+    at most eight are kept. 1,001 levels over 8,760 hours peak at 10.0 MiB
     under tracemalloc, against 76.5 MiB with an 8-byte value per cell.
 
     A value past the float range is a ValidationError citing the highest
@@ -111,7 +110,7 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     if n_levels <= KERNEL_MAX_LEVELS and not check:
         row = _sweep_kernel(tuple(levels), tuple(map(tuple, succ)))(deltas, codes)
     else:
-        row = _sweep_loop(levels, succ, deltas, codes, check)
+        row = _sweep_numpy(levels, succ, deltas, codes, check)
 
     # moves[i][k] is (succ[i][k], ACTIONS[k]): where code k takes level i, and how
     moves = [tuple(zip(s, ACTIONS)) for s in succ]
@@ -123,48 +122,46 @@ def hindsight_optimal(prices: PriceSeries, config: BatteryConfig) -> HindsightPl
     return HindsightPlan(tuple(actions), row[start])  # row is hour 0
 
 
-def _sweep_loop(
+def _sweep_numpy(
     levels: list[float], succ: list[list[int]], deltas: list[float], codes: bytearray, check: bool
 ) -> list[float]:
-    """The sweep on any grid: appends the action rows to ``codes`` from the
-    last hour back and returns hour 0's values; with ``check``, raises at the
-    first row (the highest hour) that is not all finite."""
-    cells = [(w, *s) for w, s in zip(levels, succ)]
-    row = [0.0] * len(levels)
-    for n in reversed(range(len(deltas))):
-        d = deltas[n]
-        above = row
-        row = []
-        for w, a, b, c in cells:
-            x, y, z = above[a], above[b], above[c]
-            k = 0  # strict comparisons keep the first max: the lowest action code
-            if y > x:
-                x, k = y, 1
-            if z > x:
-                x, k = z, 2
-            row.append(w * d + x)
-            codes.append(k)
-        if check and not all(map(math.isfinite, row)):
-            raise ValidationError(
-                f"hindsight value at hour {n} is not finite: prices beyond float range",
-                position=n,
-            )
-    return row
+    """The sweep on any grid, one numpy row an hour: appends the action rows
+    to ``codes`` from the last hour back and returns hour 0's values; with
+    ``check``, raises at the first row (the highest hour) that is not all
+    finite."""
+    w = np.array(levels)
+    table = np.array(succ)  # (level, action): the successor's index
+    first = np.arange(0, table.size, len(ACTIONS))  # each level's first cell in table.flat
+    row = np.zeros(len(levels))
+    # a product or a sum past the range is inf or NaN, and only check reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in reversed(range(len(deltas))):
+            above = row.take(table)
+            k = above.argmax(axis=1)  # the first max: the lowest action code
+            codes += k.astype(np.uint8).tobytes()
+            row = w * deltas[n]
+            row += above.take(first + k)  # the chosen successor's value, not any max's
+            if check and not np.isfinite(row).all():
+                raise ValidationError(
+                    f"hindsight value at hour {n} is not finite: prices beyond float range",
+                    position=n,
+                )
+    return row.tolist()
 
 
 @functools.lru_cache(maxsize=8)
 def _sweep_kernel(
     levels: tuple[float, ...], succ: tuple[tuple[int, ...], ...]
 ) -> Callable[[list[float], bytearray], list[float]]:
-    """:func:`_sweep_loop` without the check, compiled for one grid.
+    """:func:`_sweep_numpy` without the check, compiled for one grid.
 
     The generated function ``sweep(deltas, codes)`` keeps the value row in
     locals ``v0, v1, ...`` (and the row being made in ``u0, u1, ...``), with
     each level's successors and its level baked in (a float's ``repr`` reads
-    back as the same float). Per cell it makes the loop's two strict
-    comparisons (the second against the first one's winner) and
-    ``w * d + x``, the product first into ``t``, so every value and code has
-    the loop's bits; per hour it appends the row's codes with one call of
+    back as the same float). Per cell it finds the first maximum by two
+    strict comparisons (the second against the first one's winner) and
+    makes ``w * d + x``, the product first into ``t``, so every value and
+    code has numpy's bits; per hour it appends the row's codes with one call of
     ``codes.extend``, bound once. It sweeps two hours an iteration, from
     ``v`` to ``u`` and back, so the rows swap names instead of objects.
 
@@ -255,7 +252,7 @@ def brute_force_optimal(prices: PriceSeries, config: BatteryConfig) -> float:
 
 def threshold_policy(obs: Observation, low: float, high: float) -> Action:
     """Buy below ``low``, sell above ``high``, otherwise sit still."""
-    if low > high:
+    if not low <= high:  # NaN fails it too
         raise ValueError(f"low {low} exceeds high {high}")
     latest = float(obs.recent_prices[-1])
     if latest < low:

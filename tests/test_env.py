@@ -118,11 +118,16 @@ class TestBatteryConfig:
             {"rate_kw": 0.0},
             {"window_hours": 0},
             {"capacity_kwh": float("inf")},
+            {"window_hours": 2.5},  # a count: numpy would raise a bare TypeError later
+            {"window_hours": 24.0},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             BatteryConfig(**kwargs)
+
+    def test_accepts_numpy_integer_window(self):
+        assert BatteryConfig(window_hours=np.int64(6)).window_hours == 6
 
 
 class TestApplyAction:

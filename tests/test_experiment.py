@@ -213,11 +213,20 @@ class TestHyperparams:
             {"batch_size": 0},
             {"update_every": 0},
             {"target_sync_every": 0},
+            # counts: at 1.5, (k + 1) % 1.5 == 0 would update every 3rd step
+            {"update_every": 1.5},
+            {"target_sync_every": 2.5},
+            {"buffer_capacity": 64.5},
+            {"batch_size": 2.5},
+            {"learning_starts": 1000.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        assert Hyperparams(update_every=np.int64(2), buffer_capacity=np.int32(64)).update_every == 2
 
     def test_batch_may_fill_the_ring_but_not_exceed_it(self):
         # sample_batch draws nothing while the ring holds fewer than a batch,

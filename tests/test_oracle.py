@@ -232,9 +232,11 @@ class TestBaselinePolicies:
     def test_threshold_idles_between(self):
         assert threshold_policy(_obs(3.0), 2.0, 4.0) == Action.IDLE
 
-    def test_threshold_rejects_inverted_band(self):
+    # a NaN bound fails every comparison, which would read as IDLE
+    @pytest.mark.parametrize("low, high", [(4.0, 2.0), (float("nan"), 2.0), (2.0, float("nan"))])
+    def test_threshold_rejects_inverted_band(self, low, high):
         with pytest.raises(ValueError):
-            threshold_policy(_obs(3.0), 4.0, 2.0)
+            threshold_policy(_obs(3.0), low, high)
 
     def test_idle_policy_always_idles(self):
         assert idle_policy() == Action.IDLE

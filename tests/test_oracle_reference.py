@@ -1,23 +1,29 @@
-"""The oracle's plain-float sweeps against the numpy sweep they replaced.
+"""The oracle's sweeps against a plain-float loop and a numpy value table.
 
-``hindsight_optimal`` walks :func:`rtp_arb.env.charge_grid` in Python
-floats: per cell one product and one sum, the best successor found by
-comparisons, the plan read off with strict comparisons. It has two paths:
-code compiled for the grid (``_sweep_kernel``, on grids of at most
-``KERNEL_MAX_LEVELS`` levels whose values cannot leave the float range) and
-the loop (``_sweep_loop``, everywhere else). Every case runs once on each
-path, the loop forced by patching ``KERNEL_MAX_LEVELS`` to 0, and both must
-give the reference's plan and value bit for bit. The vectorized sweep below
-is the reference: drawn series and batteries, including 2-level grids (rate
-at or above capacity), constant runs and other exact ties, whole
-random-walk years, and fixed grids on both sides of ``KERNEL_MAX_LEVELS``
-with brute force as a second referee. Prices large enough to overflow must
+``hindsight_optimal`` walks :func:`rtp_arb.env.charge_grid`: per cell one
+product and one sum, the best successor the first maximum, the plan read
+off by walking one action code per cell. It has two paths: code compiled
+for the grid (``_sweep_kernel``, on grids of at most ``KERNEL_MAX_LEVELS``
+levels whose values cannot leave the float range) and a numpy sweep, one
+row an hour (``_sweep_numpy``, everywhere else). Every case runs once on
+each path, the numpy sweep forced by patching ``KERNEL_MAX_LEVELS`` to 0,
+and both must give the reference's plan and value bit for bit. The
+reference is a vectorized sweep that keeps the whole value table: drawn
+series and batteries, including 2-level grids (rate at or above capacity),
+constant runs and other exact ties, whole random-walk years, and fixed
+grids on both sides of ``KERNEL_MAX_LEVELS`` with brute force as a second
+referee. On the fixed grids and the random-walk years, each path's whole
+table of action codes and its hour-0 value row must also equal, byte for
+byte, those of :func:`reference_sweep`, the loop over the cells in Python
+floats that the oracle once ran. Prices large enough to overflow must
 raise exactly where the reference table stops being finite, at its highest
 such hour, whether or not the oracle's bound on its values lets it skip the
-per-row check, and both paths must raise the same error.
+per-row check, and both paths must raise the loop's error.
 """
 
 import contextlib
+import functools
+import math
 import struct
 from unittest import mock
 
@@ -46,6 +52,7 @@ from rtp_arb import (
     reachable_charges,
 )
 from rtp_arb import oracle
+from rtp_arb.env import charge_grid
 from rtp_arb.oracle import BRUTE_FORCE_MAX_STEPS, FINITE_BOUND, KERNEL_MAX_LEVELS
 
 
@@ -86,8 +93,36 @@ def reference_hindsight_optimal(prices, config):
     return tuple(actions), float(values[0, start])
 
 
-def loop_only():
-    """Within it, ``hindsight_optimal`` sweeps every grid in the loop."""
+def reference_sweep(levels, succ, deltas, codes, check):
+    """The sweep as a loop over the cells in Python floats: appends the action
+    rows to ``codes`` from the last hour back and returns hour 0's values;
+    with ``check``, raises at the first row (the highest hour) that is not all
+    finite."""
+    cells = [(w, *s) for w, s in zip(levels, succ)]
+    row = [0.0] * len(levels)
+    for n in reversed(range(len(deltas))):
+        d = deltas[n]
+        above = row
+        row = []
+        for w, a, b, c in cells:
+            x, y, z = above[a], above[b], above[c]
+            k = 0  # strict comparisons keep the first max: the lowest action code
+            if y > x:
+                x, k = y, 1
+            if z > x:
+                x, k = z, 2
+            row.append(w * d + x)
+            codes.append(k)
+        if check and not all(map(math.isfinite, row)):
+            raise ValidationError(
+                f"hindsight value at hour {n} is not finite: prices beyond float range",
+                position=n,
+            )
+    return row
+
+
+def numpy_only():
+    """Within it, ``hindsight_optimal`` sweeps every grid in numpy."""
     return mock.patch.object(oracle, "KERNEL_MAX_LEVELS", 0)
 
 
@@ -109,11 +144,11 @@ def assert_matches_reference(prices, config):
     before = kernel_calls()
     plan = hindsight_optimal(series, config)
     assert (kernel_calls() > before) == takes_kernel(series, config)
-    with loop_only():
+    with numpy_only():
         before = kernel_calls()
-        loop_plan = hindsight_optimal(series, config)
+        numpy_plan = hindsight_optimal(series, config)
         assert kernel_calls() == before
-    for got in (plan, loop_plan):
+    for got in (plan, numpy_plan):
         assert type(got.value) is float
         assert struct.pack("<d", got.value) == struct.pack("<d", want_value)
         assert all(type(a) is Action for a in got.actions)
@@ -218,7 +253,7 @@ def test_raises_exactly_where_the_reference_table_is_not_finite(prices, config):
         assert_matches_reference(prices, config)
     else:
         assert checked
-        for path in (contextlib.nullcontext(), loop_only()):
+        for path in (contextlib.nullcontext(), numpy_only()):
             with path, pytest.raises(ValidationError, match="not finite") as info:
                 hindsight_optimal(series, config)
             assert info.value.position == np.flatnonzero(~finite)[-1]  # the highest such hour
@@ -232,7 +267,11 @@ GRIDS = {
     8: BatteryConfig(capacity_kwh=7.0, rate_kw=1.0, window_hours=1),
     KERNEL_MAX_LEVELS: BatteryConfig(capacity_kwh=KERNEL_MAX_LEVELS - 1.0, rate_kw=1.0, window_hours=1),
     KERNEL_MAX_LEVELS + 1: BatteryConfig(capacity_kwh=float(KERNEL_MAX_LEVELS), rate_kw=1.0, window_hours=1),
+    257: BatteryConfig(capacity_kwh=256.0, rate_kw=1.0, window_hours=1),
+    1001: BatteryConfig(capacity_kwh=1000.0, rate_kw=1.0, window_hours=1),
 }
+KINDS = ["square", "dyadic", "normal"]
+HOURS = [2, 3, 12, 13, 48, 49]  # 1, 2, 11, 12, 47 and 48 steps
 
 
 def fixed_prices(kind: str, hours: int) -> list[float]:
@@ -244,8 +283,8 @@ def fixed_prices(kind: str, hours: int) -> list[float]:
     return (4.0 + rng.normal(0.0, 3.0, hours)).tolist()
 
 
-@pytest.mark.parametrize("hours", [2, 3, 12, 13, 48, 49])  # 1, 2, 11, 12, 47 and 48 steps
-@pytest.mark.parametrize("kind", ["square", "dyadic", "normal"])
+@pytest.mark.parametrize("hours", HOURS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n_levels", list(GRIDS))
 def test_both_paths_on_grids_around_the_kernel_bound(n_levels, kind, hours):
     config = GRIDS[n_levels]
@@ -260,17 +299,50 @@ def test_both_paths_on_grids_around_the_kernel_bound(n_levels, kind, hours):
             assert plan.value == best
 
 
-@pytest.mark.parametrize("n_levels", [3, 6, 8])
+#: every (grid, kind, hours) case of the test above, then a random-walk year on each config
+CELL_CASES = [
+    pytest.param(GRIDS[n_levels], fixed_prices(kind, hours), id=f"{n_levels}-{kind}-{hours}")
+    for n_levels in GRIDS
+    for kind in KINDS
+    for hours in HOURS
+] + [pytest.param(config, random_walk(0, 8760).prices, id=f"year-{i}") for i, config in enumerate(CONFIGS)]
+
+
+@pytest.mark.parametrize("config, prices", CELL_CASES)
+def test_every_cell_matches_the_loop(config, prices):
+    # the plan reads one code an hour: here every code, and every hour-0 value
+    levels, succ, deltas, _ = charge_grid(make_series(prices), config)
+    want_codes = bytearray()
+    want_row = np.array(reference_sweep(levels, succ, deltas, want_codes, False))
+    assert len(want_codes) == len(deltas) * len(levels)
+    sweeps = {
+        f"numpy, check={check}": functools.partial(oracle._sweep_numpy, levels, succ, deltas, check=check)
+        for check in (False, True)
+    }
+    if len(levels) <= KERNEL_MAX_LEVELS:
+        sweeps["kernel"] = functools.partial(oracle._sweep_kernel(tuple(levels), tuple(map(tuple, succ))), deltas)
+    for name, sweep in sweeps.items():
+        codes = bytearray()
+        row = sweep(codes=codes)
+        assert all(type(v) is float for v in row), name
+        assert codes == want_codes, name
+        assert np.array(row).tobytes() == want_row.tobytes(), name
+
+
+@pytest.mark.parametrize("n_levels", [3, 6, 8, KERNEL_MAX_LEVELS + 1])
 def test_both_paths_raise_at_the_same_hour(n_levels):
     # finite prices whose values overflow; the bound is past FINITE_BOUND,
-    # so both paths sweep in the loop and check each row
+    # so both paths sweep in numpy and check each row, and raise the loop's error
     series = make_series([0.0, 1e308, -1e308, 1e308, 0.0])
     with np.errstate(all="ignore"):
         _, _, values = reference_values(series, GRIDS[n_levels])
-    errors = []
-    for path in (contextlib.nullcontext(), loop_only()):
+    levels, succ, deltas, _ = charge_grid(series, GRIDS[n_levels])
+    with pytest.raises(ValidationError) as info:
+        reference_sweep(levels, succ, deltas, bytearray(), True)
+    errors = [(str(info.value), info.value.position)]
+    for path in (contextlib.nullcontext(), numpy_only()):
         with path, pytest.raises(ValidationError, match="not finite") as info:
             hindsight_optimal(series, GRIDS[n_levels])
         errors.append((str(info.value), info.value.position))
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
     assert errors[0][1] == np.flatnonzero(~np.isfinite(values).all(axis=1))[-1]
