@@ -60,9 +60,7 @@ from .network import (
 )
 from .dqn import (
     Checkpoint,
-    EpsilonSchedule,
     ReplayBuffer,
-    epsilon_at,
     load_checkpoint,
     push_transition,
     sample_batch,
@@ -91,6 +89,7 @@ from .experiment import (
     cross_test,
     daily_policy_trace,
     emit_outputs,
+    epsilon_at,
     evaluate_greedy,
     greedy_rollout,
     train_agent,

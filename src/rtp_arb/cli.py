@@ -9,10 +9,9 @@ from result CSVs).
 Every setting follows the same precedence: command-line flag, then config
 file, then built-in default. Settings are the leaf fields of
 :class:`RunConfig` (``BatteryConfig``, ``Hyperparams`` and the run fields);
-a field's config key is its name and its flag is ``--field-name``, with the
-exploration schedule's fields keyed ``epsilon_<name>``. A flag is only on the
-subcommands that read its field; every key is valid in the config file of
-every subcommand, so one file serves them all. The config file is
+a field's config key is its name and its flag is ``--field-name``. A flag is
+only on the subcommands that read its field; every key is valid in the config
+file of every subcommand, so one file serves them all. The config file is
 flat ``key = value`` UTF-8 text; a line whose first non-blank character is
 ``#`` or ``;`` is a comment, but a note after a value is part of the value
 (``rate_kw = 5  # note`` is a bad value). Exit codes: 0 success, 1 runtime
@@ -26,7 +25,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field, is_dataclass
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, get_type_hints
 
@@ -51,10 +50,10 @@ from .experiment import (
 )
 from .ingest import (
     DEFAULT_ENDPOINT,
-    DIGITS_TO_ZERO,
     aggregate_hourly,
     default_data_dir,
     fetch_five_minute_feed,
+    parse_timestamp,
     read_columns,
     read_price_csv,
     whole_number,
@@ -121,35 +120,29 @@ _FLAGS_ON = {
 }
 
 
-def _prefix(owner: type, name: str, prefix: str) -> str:
-    # RunConfig's sections add nothing to their keys; a schedule nested in a
-    # knob object adds its field name (Hyperparams.epsilon.start -> epsilon_start).
-    return "" if owner is RunConfig else f"{prefix}{name}_"
-
-
-def _knobs(cls: type = RunConfig, path: tuple[str, ...] = (), prefix: str = "") -> dict:
+def _knobs(cls: type = RunConfig, path: tuple[str, ...] = ()) -> dict:
     """Config key -> (attribute path from RunConfig, converter, subcommands with its flag) of every leaf."""
     out: dict[str, tuple[tuple[str, ...], Callable[[str], Any], tuple[str, ...]]] = {}
     for name, hint in get_type_hints(cls).items():
         if is_dataclass(hint):
-            out.update(_knobs(hint, path + (name,), _prefix(cls, name, prefix)))
+            out.update(_knobs(hint, path + (name,)))
         else:
             convert = _parse_years if hint == tuple[int, ...] else hint
-            out[prefix + name] = (path + (name,), convert, _FLAGS_ON[path[0] if path else name])
+            out[name] = (path + (name,), convert, _FLAGS_ON[path[0] if path else name])
     return out
 
 
 _KNOBS = _knobs()
 
 
-def _build(cls: type, values: dict[str, Any], prefix: str = "") -> Any:
+def _build(cls: type, values: dict[str, Any]) -> Any:
     """``cls`` from the keyed values; a key not in ``values`` keeps its default."""
     kwargs = {}
     for name, hint in get_type_hints(cls).items():
         if is_dataclass(hint):
-            kwargs[name] = _build(hint, values, _prefix(cls, name, prefix))
-        elif prefix + name in values:
-            kwargs[name] = values[prefix + name]
+            kwargs[name] = _build(hint, values)
+        elif name in values:
+            kwargs[name] = values[name]
     return cls(**kwargs)
 
 
@@ -316,10 +309,8 @@ def _cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     if args.day is not None:
         try:
-            # date.fromisoformat also reads 20210102 and 2020-W53-6
-            if args.day.translate(DIGITS_TO_ZERO) != "0000-00-00":
-                raise ValueError(args.day)
-            day = date.fromisoformat(args.day)
+            # the stamp reader checks the shape: date.fromisoformat also reads 20210102 and 2020-W53-6
+            day = parse_timestamp(args.day + "T00:00:00Z").date()
         except ValueError as exc:
             raise ConfigError(f"--day must be YYYY-MM-DD, got {args.day!r}") from exc
         trace = daily_policy_trace(series, day, rollout)

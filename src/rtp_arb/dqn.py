@@ -1,7 +1,8 @@
-"""Replay-based Q-learning: exploration schedule, ring buffer, updates.
+"""Replay-based Q-learning: epsilon-greedy actions, ring buffer, updates.
 
 This layer ties the network to the environment: epsilon-greedy action
-selection with a linearly annealed exploration rate, a preallocated
+selection at a rate the caller gives (training anneals it with
+:func:`rtp_arb.experiment.epsilon_at`), a preallocated
 experience replay ring, TD target computation against a periodically synced
 target network, and a binary checkpoint format that captures everything
 needed to resume or evaluate a trained policy (parameters, optimizer
@@ -19,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from .atomic import atomic_write
-from .env import ACTIONS, Action
+from .env import ACTIONS, Action, is_count
 from .errors import CheckpointError, TrainingDivergedError
 from .network import (
     ACTION_COUNT,
@@ -35,43 +36,6 @@ CHECKPOINT_MAGIC = b"RTPARBQN"
 CHECKPOINT_VERSION = 1
 
 Batch = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-
-@dataclass(frozen=True)
-class EpsilonSchedule:
-    """Linear anneal of the exploration rate over an initial slice of training."""
-
-    start: float = 1.0
-    end: float = 0.05
-    decay_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.decay_fraction <= 1.0:
-            raise ValueError(f"epsilon decay_fraction must be in (0, 1], got {self.decay_fraction}")
-        if not 0.0 <= self.end <= self.start <= 1.0:
-            raise ValueError(
-                f"epsilon must fall within [0, 1] (0 <= end <= start <= 1), "
-                f"got start {self.start} and end {self.end}"
-            )
-
-
-def epsilon_at(schedule: EpsilonSchedule, step: int, total_steps: int) -> float:
-    """Exploration rate at a given environment step of a run.
-
-    Decays linearly from start to end over the first ``decay_fraction`` of
-    ``total_steps``, then stays at ``end``.
-    """
-    if total_steps < 1:
-        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
-    if step < 0:
-        raise ValueError(f"step must be >= 0, got {step}")
-    horizon = schedule.decay_fraction * total_steps
-    if step >= horizon:
-        # clamp to the floor exactly; interpolating at frac=1.0 would leave
-        # the tail one ulp above end
-        return schedule.end
-    frac = step / horizon
-    return schedule.start + frac * (schedule.end - schedule.start)
 
 
 def explore(epsilon: float, rng: np.random.Generator | None = None) -> Action | None:
@@ -114,8 +78,8 @@ class ReplayBuffer:
     """
 
     def __init__(self, capacity: int, windows: np.ndarray, charge_scale: float):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if not is_count(capacity):
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = capacity
         self.windows = windows
         self.charge_scale = charge_scale

@@ -42,6 +42,12 @@ DEFAULT_RATE_KW = 5.0
 DEFAULT_WINDOW_HOURS = 48
 
 
+def is_count(value: object, least: int = 1) -> bool:
+    """Whether ``value`` is an integer of at least ``least``. A numpy integer
+    is; a bool is not, nor is a float, even one with no fraction."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 class Action(enum.IntEnum):
     """The three hourly moves. Integer codes are a stable contract: they are
     the network's output order, the greedy tie-break order, and the codes
@@ -73,7 +79,7 @@ class BatteryConfig:
             raise ConfigError(f"capacity_kwh must be positive, got {self.capacity_kwh}")
         if not (math.isfinite(self.rate_kw) and self.rate_kw > 0):
             raise ConfigError(f"rate_kw must be positive, got {self.rate_kw}")
-        if not (isinstance(self.window_hours, numbers.Integral) and self.window_hours >= 1):
+        if not is_count(self.window_hours):
             raise ConfigError(f"window_hours must be an integer >= 1, got {self.window_hours!r}")
 
     @property

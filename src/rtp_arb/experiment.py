@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass, field
@@ -27,9 +26,7 @@ from . import charts
 from .atomic import write_lines
 from .dqn import (
     Checkpoint,
-    EpsilonSchedule,
     ReplayBuffer,
-    epsilon_at,
     explore,
     header_float,
     header_int,
@@ -39,7 +36,7 @@ from .dqn import (
     train_step,
 )
 # reset, step and forward go unused: benchmarks/tracing.py patches them by name (ROADMAP item 17)
-from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, reset, step, utc_start
+from .env import ACTIONS, HOUR, Action, BatteryConfig, PriceSeries, charge_grid, is_count, reset, step, utc_start
 from .errors import ConfigError, RtpArbError, TrainingDivergedError, ValidationError
 from .network import (
     ACTION_COUNT,
@@ -78,7 +75,10 @@ GREEDY_BLOCK_ROWS = 192
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Learning knobs; the defaults are the ones the rest of the project uses."""
+    """Learning knobs; the defaults are the ones the rest of the project uses.
+
+    The last three set the exploration rate (see :func:`epsilon_at`).
+    """
 
     gamma: float = 0.99
     learning_rate: float = 1e-4
@@ -87,16 +87,25 @@ class Hyperparams:
     learning_starts: int = 1_000
     update_every: int = 4
     target_sync_every: int = 1_000
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon_start: float = 1.0
+    epsilon_end: float = 0.05
+    epsilon_decay_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        if not 0.0 < self.epsilon_decay_fraction <= 1.0:
+            raise ConfigError(f"epsilon decay_fraction must be in (0, 1], got {self.epsilon_decay_fraction}")
+        if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
+            raise ConfigError(
+                f"epsilon must fall within [0, 1] (0 <= end <= start <= 1), "
+                f"got start {self.epsilon_start} and end {self.epsilon_end}"
+            )
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         for name in ("batch_size", "buffer_capacity", "learning_starts", "update_every", "target_sync_every"):
             count = getattr(self, name)
-            if not (isinstance(count, numbers.Integral) and count >= 1):
+            if not is_count(count):
                 raise ConfigError(f"{name} must be an integer >= 1, got {count!r}")
         # the ring holds at most buffer_capacity transitions, so a larger batch
         # is never sampled and the run would end without a single update
@@ -105,6 +114,25 @@ class Hyperparams:
                 f"batch_size must not exceed buffer_capacity, "
                 f"got {self.batch_size} > {self.buffer_capacity}"
             )
+
+
+def epsilon_at(hyper: Hyperparams, step: int, total_steps: int) -> float:
+    """Exploration rate at a given environment step of a run.
+
+    Decays linearly from ``epsilon_start`` to ``epsilon_end`` over the first
+    ``epsilon_decay_fraction`` of ``total_steps``, then stays at ``epsilon_end``.
+    """
+    if total_steps < 1:
+        raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    if step < 0:
+        raise ValueError(f"step must be >= 0, got {step}")
+    horizon = hyper.epsilon_decay_fraction * total_steps
+    if step >= horizon:
+        # clamp to the floor exactly; interpolating at frac=1.0 would leave
+        # the tail one ulp above end
+        return hyper.epsilon_end
+    frac = step / horizon
+    return hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
 
 
 @dataclass(frozen=True)
@@ -235,11 +263,11 @@ def train_agent(
     On numerical divergence (a non-finite loss, or an overflow or invalid
     operation in the step loop) the raised error carries the partial curve.
     """
-    if total_steps < 1 or eval_every < 1 or total_steps % eval_every != 0:
+    if not (is_count(total_steps) and is_count(eval_every)) or total_steps % eval_every != 0:
         raise ConfigError(
             f"total_steps ({total_steps}) must be a positive multiple of eval_every ({eval_every})"
         )
-    if seed < 0:
+    if not is_count(seed, 0):
         raise ConfigError(f"seed must be >= 0, got {seed}")
     init_ss, explore_ss, sample_ss = np.random.SeedSequence(seed).spawn(3)
     try:
@@ -285,7 +313,7 @@ def train_agent(
             for k in range(total_steps):
                 # the same draws as select_action(q, eps, explore_rng), with no
                 # forward when the coin explores
-                a = explore(epsilon_at(hyper.epsilon, k, total_steps), explore_rng)
+                a = explore(epsilon_at(hyper, k, total_steps), explore_rng)
                 if a is None:
                     window[:] = pairs[n + 1, :-1]
                     charge[0] = levels[i] / norm.charge_scale

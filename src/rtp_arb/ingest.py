@@ -48,7 +48,7 @@ CSV_HEADER = "hour_start_utc,price_cents_per_kwh"
 # A stamp is well formed when mapping its ASCII digits to "0" gives the shape.
 # (A regex guard did the same job but raised the ingest benchmark's peak memory
 # by about 2.5 MiB in four of six checkout directories tried.)
-DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
 _TIMESTAMP_SHAPE = "0000-00-00T00:00:00Z"
 
 RETRY_ATTEMPTS = 3
@@ -297,7 +297,7 @@ def parse_timestamp(text: str) -> datetime:
     spaces) or an impossible date raises ValueError. A stamp that parses is
     the one :func:`hour_stamps` writes for its time.
     """
-    if text.translate(DIGITS_TO_ZERO) != _TIMESTAMP_SHAPE:
+    if text.translate(_DIGITS_TO_ZERO) != _TIMESTAMP_SHAPE:
         raise ValueError(f"{text!r} is not YYYY-MM-DDTHH:MM:SSZ")
     # an explicit offset parses faster than .replace(tzinfo=...) and gives timezone.utc
     return datetime.fromisoformat(text[:-1] + "+00:00")

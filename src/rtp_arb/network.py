@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .env import ACTIONS, Observation
+from .env import ACTIONS, Observation, is_count
 from .errors import ValidationError
 
 #: Hidden layer widths of the default architecture.
@@ -84,8 +84,8 @@ def init_network(window_hours: int, seed: int, hidden_dims: tuple[int, ...] = HI
 
     Weights are uniform in +/-sqrt(6/fan_in), biases zero.
     """
-    if window_hours < 1:
-        raise ValueError(f"window_hours must be >= 1, got {window_hours}")
+    if not is_count(window_hours):
+        raise ValueError(f"window_hours must be an integer >= 1, got {window_hours!r}")
     dims = (window_hours + 1, *hidden_dims, ACTION_COUNT)
     rng = np.random.default_rng(seed)
     weights = []

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import CONFIGS, random_walk
-from rtp_arb import EpsilonSchedule, Hyperparams, cli, dqn, experiment
+from rtp_arb import Hyperparams, cli, dqn, experiment
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 sys.path.insert(0, str(BENCHMARKS))
@@ -27,7 +27,7 @@ HYPER = Hyperparams(
     learning_starts=16,
     update_every=2,
     target_sync_every=10,
-    epsilon=EpsilonSchedule(decay_fraction=0.25),
+    epsilon_decay_fraction=0.25,
 )
 TOTAL_STEPS, EVAL_EVERY = 240, 60
 

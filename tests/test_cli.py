@@ -222,9 +222,9 @@ KNOBS = {
     "learning_starts": ("hyper.learning_starts", "7", 7, "train"),
     "update_every": ("hyper.update_every", "3", 3, "train"),
     "target_sync_every": ("hyper.target_sync_every", "50", 50, "train"),
-    "epsilon_start": ("hyper.epsilon.start", "0.5", 0.5, "train"),
-    "epsilon_end": ("hyper.epsilon.end", "0.01", 0.01, "train"),
-    "epsilon_decay_fraction": ("hyper.epsilon.decay_fraction", "0.3", 0.3, "train"),
+    "epsilon_start": ("hyper.epsilon_start", "0.5", 0.5, "train"),
+    "epsilon_end": ("hyper.epsilon_end", "0.01", 0.01, "train"),
+    "epsilon_decay_fraction": ("hyper.epsilon_decay_fraction", "0.3", 0.3, "train"),
     "steps": ("steps", "400", 400, "train"),
     "eval_every": ("eval_every", "40", 40, "train"),
     "seed": ("seed", "9", 9, "train"),
@@ -289,6 +289,10 @@ class TestKnobs:
         )
         assert sorted(path for path, *_ in KNOBS.values()) == sorted(expected)
         assert set(_KNOBS) == set(KNOBS)
+
+    def test_each_key_is_its_field_name(self):
+        for key, (path, *_) in _KNOBS.items():
+            assert key == path[-1]
 
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_FLAGS))
     def test_flag_set_of_each_subcommand(self, command):

@@ -1,4 +1,4 @@
-"""Exploration schedule, replay ring, TD targets, sync, checkpoints."""
+"""Epsilon-greedy actions, replay ring, TD targets, sync, checkpoints."""
 
 import json
 import struct
@@ -10,12 +10,10 @@ from rtp_arb import (
     Action,
     AdamState,
     CheckpointError,
-    EpsilonSchedule,
     Hyperparams,
     ObservationNormalizer,
     QNetwork,
     ReplayBuffer,
-    epsilon_at,
     forward_batch,
     init_network,
     load_checkpoint,
@@ -30,31 +28,6 @@ from rtp_arb import (
 from rtp_arb.dqn import CHECKPOINT_MAGIC
 
 IDENTITY_NORM = ObservationNormalizer(price_mean=0.0, price_std=1.0, charge_scale=1.0)
-
-
-class TestEpsilonSchedule:
-    def test_endpoints_and_midpoint(self):
-        sched = EpsilonSchedule()
-        assert epsilon_at(sched, 0, 200_000) == 1.0
-        assert epsilon_at(sched, 10_000, 200_000) == pytest.approx(0.525, rel=1e-12)
-        assert epsilon_at(sched, 20_000, 200_000) == 0.05
-        assert epsilon_at(sched, 137_000, 200_000) == 0.05
-
-    def test_monotone_and_bounded(self):
-        sched = EpsilonSchedule()
-        values = [epsilon_at(sched, k, 1000) for k in range(0, 1001, 7)]
-        assert all(0.05 <= v <= 1.0 for v in values)
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            EpsilonSchedule(decay_fraction=0.0)
-        with pytest.raises(ValueError):
-            EpsilonSchedule(start=0.1, end=0.5)
-        with pytest.raises(ValueError):
-            epsilon_at(EpsilonSchedule(), -1, 100)
-        with pytest.raises(ValueError):
-            epsilon_at(EpsilonSchedule(), 5, 0)
 
 
 class TestSelectAction:
@@ -130,6 +103,12 @@ class TestReplayBuffer:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             make_buffer(capacity=0)
+
+    @pytest.mark.parametrize("capacity", [2.5, True, False, -1])
+    def test_names_the_capacity_it_rejects(self, capacity):
+        # 2.5 and True once failed inside np.empty with a bare TypeError
+        with pytest.raises(ValueError, match=f"^capacity must be an integer >= 1, got {capacity!r}$"):
+            make_buffer(capacity=capacity)
 
     def test_ring_at_default_capacity_is_small(self):
         buf = ReplayBuffer(Hyperparams().buffer_capacity, make_buffer(1).windows, 1.0)

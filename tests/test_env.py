@@ -120,6 +120,8 @@ class TestBatteryConfig:
             {"capacity_kwh": float("inf")},
             {"window_hours": 2.5},  # a count: numpy would raise a bare TypeError later
             {"window_hours": 24.0},
+            {"window_hours": True},  # a bool is an Integral, and True would read as 1
+            {"window_hours": False},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

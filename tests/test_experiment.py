@@ -18,7 +18,6 @@ from rtp_arb import (
     ConfigError,
     CrossTestMatrix,
     DailyPolicyTrace,
-    EpsilonSchedule,
     Hyperparams,
     ObservationNormalizer,
     PriceSeries,
@@ -32,6 +31,7 @@ from rtp_arb import (
     daily_policy_trace,
     emit_outputs,
     episode_return,
+    epsilon_at,
     evaluate_greedy,
     experiment,
     forward_batch,
@@ -136,6 +136,28 @@ class TestTrainAgent:
         with pytest.raises(ConfigError, match="multiple"):
             train_agent(wave_series(), SMALL_CONFIG, FAST_HYPER, total_steps=100, eval_every=33)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # 4.0 % 2.0 == 0, so these once passed the cadence check and met range()
+            ({"total_steps": 4.0, "eval_every": 2.0}, "multiple"),
+            ({"total_steps": 40, "eval_every": True}, "multiple"),
+            ({"total_steps": True, "eval_every": 1}, "multiple"),
+            ({"seed": 1.5}, "seed must be >= 0, got 1.5"),
+            ({"seed": True}, "seed must be >= 0, got True"),
+        ],
+    )
+    def test_rejects_non_integer_counts(self, kwargs, message):
+        run = {"total_steps": 40, "eval_every": 40, **kwargs}
+        with pytest.raises(ConfigError, match=message):
+            train_agent(wave_series(), SMALL_CONFIG, FAST_HYPER, **run)
+
+    def test_accepts_numpy_integer_counts(self):
+        curve, _ = train_agent(
+            wave_series(), SMALL_CONFIG, FAST_HYPER, np.int64(40), np.int32(40), np.int64(0)
+        )
+        assert curve.steps == (0, 40)
+
     def test_same_seed_reproduces_bit_for_bit(self):
         a_curve, a_ckpt = train_agent(
             wave_series(), SMALL_CONFIG, FAST_HYPER, total_steps=80, eval_every=40, seed=7
@@ -202,7 +224,7 @@ class TestHyperparams:
         h = Hyperparams()
         assert h.gamma == 0.99
         assert h.buffer_capacity == 200_000
-        assert h.epsilon == EpsilonSchedule()
+        assert (h.epsilon_start, h.epsilon_end, h.epsilon_decay_fraction) == (1.0, 0.05, 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -219,11 +241,25 @@ class TestHyperparams:
             {"buffer_capacity": 64.5},
             {"batch_size": 2.5},
             {"learning_starts": 1000.0},
+            # a bool is an Integral, and True would read as 1
+            {"update_every": True},
+            {"batch_size": False},
+            {"buffer_capacity": True},
+            {"learning_starts": True},
+            {"target_sync_every": True},
+            {"learning_starts": 2.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs)
+
+    def test_exploration_is_checked_first(self):
+        # as when the schedule was a record built before the other fields
+        with pytest.raises(ConfigError, match=r"^epsilon decay_fraction must be in \(0, 1\], got 0.0$"):
+            Hyperparams(batch_size=0, epsilon_decay_fraction=0.0, epsilon_start=2.0)
+        with pytest.raises(ConfigError, match=r"got start 2.0 and end 0.05$"):
+            Hyperparams(gamma=2.0, epsilon_start=2.0)
 
     def test_accepts_numpy_integer_counts(self):
         assert Hyperparams(update_every=np.int64(2), buffer_capacity=np.int32(64)).update_every == 2
@@ -235,6 +271,31 @@ class TestHyperparams:
         assert Hyperparams(batch_size=32, buffer_capacity=32).batch_size == 32
         with pytest.raises(ConfigError, match="batch_size must not exceed buffer_capacity, got 33 > 32"):
             Hyperparams(batch_size=33, buffer_capacity=32)
+
+
+class TestEpsilonAt:
+    def test_endpoints_and_midpoint(self):
+        hyper = Hyperparams()
+        assert epsilon_at(hyper, 0, 200_000) == 1.0
+        assert epsilon_at(hyper, 10_000, 200_000) == pytest.approx(0.525, rel=1e-12)
+        assert epsilon_at(hyper, 20_000, 200_000) == 0.05
+        assert epsilon_at(hyper, 137_000, 200_000) == 0.05
+
+    def test_monotone_and_bounded(self):
+        hyper = Hyperparams()
+        values = [epsilon_at(hyper, k, 1000) for k in range(0, 1001, 7)]
+        assert all(0.05 <= v <= 1.0 for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ConfigError):
+            Hyperparams(epsilon_decay_fraction=0.0)
+        with pytest.raises(ConfigError):
+            Hyperparams(epsilon_start=0.1, epsilon_end=0.5)
+        with pytest.raises(ValueError):
+            epsilon_at(Hyperparams(), -1, 100)
+        with pytest.raises(ValueError):
+            epsilon_at(Hyperparams(), 5, 0)
 
 
 class TestEvaluateGreedy:

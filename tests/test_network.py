@@ -66,6 +66,15 @@ class TestInitNetwork:
         with pytest.raises(ValueError):
             init_network(0, seed=0)
 
+    @pytest.mark.parametrize("window", [2.5, True, False, 0])
+    def test_names_the_window_it_rejects(self, window):
+        # 2.5 once met numpy's bare TypeError, and True built a 2-input net
+        with pytest.raises(ValueError, match=f"^window_hours must be an integer >= 1, got {window!r}$"):
+            init_network(window, seed=0)
+
+    def test_accepts_a_numpy_integer_window(self):
+        assert init_network(np.int64(3), seed=0).layer_dims[0] == 4
+
     def test_clone_is_deep(self):
         net = init_network(3, seed=5)
         twin = net.clone()

@@ -203,9 +203,9 @@ class TestSweepKernel:
         products = sum(op == "BINARY_MULTIPLY" or (op, arg) == ("BINARY_OP", "*") for op, arg in ops)
         assert products == 3 * (n - 1)  # BINARY_MULTIPLY before CPython 3.11
 
-    def test_an_overflowing_delta_sum_takes_the_checked_loop(self, powerwall):
+    def test_an_overflowing_delta_sum_takes_the_checked_numpy_sweep(self, powerwall):
         # every |Δp| is finite but their sum is not: the bound reads inf
-        # without a warning, no kernel runs, and the loop raises at the
+        # without a warning, no kernel runs, and the numpy sweep raises at the
         # highest hour whose values overflow (hour 3: 13.5 * -1e308)
         series = make_series([0.0, 1e308, 0.0, 1e308, 0.0])
         oracle._sweep_kernel.cache_clear()

@@ -17,7 +17,6 @@ from conftest import CONFIGS, random_walk
 from rtp_arb import (
     AdamState,
     EnvState,
-    EpsilonSchedule,
     Hyperparams,
     Observation,
     ObservationNormalizer,
@@ -44,7 +43,7 @@ HYPER = Hyperparams(
     learning_starts=16,
     update_every=2,
     target_sync_every=10,
-    epsilon=EpsilonSchedule(decay_fraction=0.25),
+    epsilon_decay_fraction=0.25,
 )
 TOTAL_STEPS = 240
 EVAL_EVERY = 60
@@ -68,7 +67,7 @@ def stepwise_train(prices, config, hyper, total_steps, eval_every, seed):
     points = [(0, greedy_rollout(net, norm, prices, config)[0])]
     state, obs = reset(prices, config)
     for k in range(total_steps):
-        eps = epsilon_at(hyper.epsilon, k, total_steps)
+        eps = epsilon_at(hyper, k, total_steps)
         a = select_action(forward(net, obs, norm), eps, explore_rng)
         new_state, new_obs, r, done = step(state, a, prices, config)
         push_transition(buffer, state.step_index, state.charge_kwh, a, r, new_state.charge_kwh, done)
@@ -172,7 +171,7 @@ def test_greedy_only_schedule_draws_no_exploration(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", recorded_rng)
     monkeypatch.setattr(experiment, "RowForward", Recording)
     monkeypatch.setattr(network, "forward_batch", recorded)
-    hyper = replace(HYPER, epsilon=EpsilonSchedule(start=0.0, end=0.0))
+    hyper = replace(HYPER, epsilon_start=0.0, epsilon_end=0.0)
     prices, config, seed = random_walk(3, 40), CONFIGS[2], 3
     got_points, got_net, got_ring = captured_train(
         monkeypatch, prices, config, hyper, TOTAL_STEPS, EVAL_EVERY, seed
