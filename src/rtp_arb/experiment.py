@@ -339,16 +339,17 @@ def train_agent(
     assert best is not None
     best_ret, best_step, best_net, best_opt = best
     curve = TrainingCurve(year, tuple(points))
+    # the counts may be numpy integers, which JSON cannot write
     metadata = {
         "year": year,
         "step": best_step,
         "greedy_return_cents": best_ret,
-        "seed": seed,
+        "seed": int(seed),
         "capacity_kwh": config.capacity_kwh,
         "rate_kw": config.rate_kw,
-        "window_hours": config.window_hours,
-        "total_steps": total_steps,
-        "eval_every": eval_every,
+        "window_hours": int(config.window_hours),
+        "total_steps": int(total_steps),
+        "eval_every": int(eval_every),
     }
     return curve, Checkpoint(best_net, best_opt, norm, metadata)
 

@@ -4,7 +4,9 @@ The upstream feed serves 5-minute real-time prices as JSON records keyed by
 millisecond timestamps. This module fetches a UTC range in per-day chunks
 (retrying transient failures) into :class:`FeedSamples`: two read-only
 columns, int64 microseconds since the Unix epoch and float64 prices, sorted
-and deduplicated (the last record seen for a timestamp wins).
+and deduplicated (the last record seen for a timestamp wins). Each body is
+converted a column at a time, and re-checked record by record only to cite
+a bad record.
 :func:`aggregate_hourly` takes these columns only: it averages each UTC hour's
 samples into an hourly series and bridges fully missing hours by linear
 interpolation (and says so in the returned report). The series round-trips
@@ -107,24 +109,9 @@ class FeedSamples:
         return len(self.micros)
 
 
-def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (millis, prices) columns of one body's records with lo_ms <= millis < hi_ms.
-
-    Every record is checked, also those outside the range; an error names the
-    first offending record of its kind. A string field must be written as
-    the feed writes it: int() and float() would also read ``"1_0"`` as 10,
-    and an Arabic-Indic three, raw or as a JSON escape, as 3. Only a body
-    with an underscore, a backslash or a non-ASCII character can hold such a
-    field, so only there is each string field checked with
-    :func:`number_text`, after the conversions. Spaces around a value stay
-    accepted: float() strips them.
-    """
-    try:
-        records = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
-    if not isinstance(records, list):
-        raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
+def _record_fields(records: list) -> tuple[list[int], list[float]]:
+    """The millisUTC and price of each record, checked one record at a time;
+    a ParseError names the first bad record."""
     millis, prices = [], []
     for rec in records:
         try:
@@ -145,6 +132,40 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
             prices.append(float(p))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"feed record {rec!r} has a non-numeric price") from exc
+    return millis, prices
+
+
+def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (millis, prices) columns of one body's records with lo_ms <= millis < hi_ms.
+
+    Every record is checked, also those outside the range; an error names the
+    first offending record of its kind. A body is converted a column at a
+    time, one ``np.fromiter`` per field, when its fields are all strings, as
+    the feed writes them; a body that fails there is converted again record
+    by record, which reads JSON numbers too and names the first bad record,
+    so both give the same columns and the same errors. A string field
+    must be written as the feed writes it: int() and float() would also read
+    ``"1_0"`` as 10, and an Arabic-Indic three, raw or as a JSON escape, as
+    3. Only a body with an underscore, a backslash or a non-ASCII character
+    can hold such a field, so only there is each string field checked with
+    :func:`number_text`, after the conversions. Spaces around a value stay
+    accepted: float() strips them.
+    """
+    try:
+        records = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
+    try:
+        # str.join raises TypeError on any field that is not a string, and
+        # np.fromiter raises OverflowError on a stamp past 64 bits
+        stamps, quotes = [rec["millisUTC"] for rec in records], [rec["price"] for rec in records]
+        "".join(stamps), "".join(quotes)
+        millis = np.fromiter(map(int, stamps), np.int64, len(records))
+        prices = np.fromiter(map(float, quotes), np.float64, len(records))
+    except (TypeError, KeyError, ValueError, OverflowError):
+        millis, prices = _record_fields(records)
     if "_" in body or "\\" in body or not body.isascii():
         for rec in records:
             for key in ("millisUTC", "price"):
@@ -154,11 +175,11 @@ def _parse_feed_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, 
                     except ValueError as exc:
                         raise ParseError(f"feed record {rec!r} has a {key} not written as a number") from exc
     try:
-        ms = np.array(millis, np.int64)
+        ms = np.asarray(millis, np.int64)
     except OverflowError:
         bad = next(i for i, m in enumerate(millis) if not -(2**63) <= m < 2**63)
         raise ParseError(f"feed record {records[bad]!r} has a millisUTC beyond 64 bits") from None
-    values = np.array(prices, np.float64)
+    values = np.asarray(prices, np.float64)
     for what, bad in (
         ("has a non-finite price", ~np.isfinite(values)),
         ("is not on a 5-minute boundary", ms % 300_000 != 0),

@@ -38,6 +38,8 @@ from rtp_arb import (
     greedy_rollout,
     hindsight_optimal,
     init_network,
+    load_checkpoint,
+    save_checkpoint,
     simulate,
     train_agent,
 )
@@ -152,11 +154,20 @@ class TestTrainAgent:
         with pytest.raises(ConfigError, match=message):
             train_agent(wave_series(), SMALL_CONFIG, FAST_HYPER, **run)
 
-    def test_accepts_numpy_integer_counts(self):
-        curve, _ = train_agent(
-            wave_series(), SMALL_CONFIG, FAST_HYPER, np.int64(40), np.int32(40), np.int64(0)
+    def test_accepts_numpy_integer_counts(self, tmp_path):
+        config = BatteryConfig(capacity_kwh=4.0, rate_kw=2.0, window_hours=np.int64(4))
+        curve, ckpt = train_agent(
+            wave_series(), config, FAST_HYPER, np.int64(40), np.int32(40), np.int64(0)
         )
         assert curve.steps == (0, 40)
+        # the metadata holds Python ints, so the checkpoint saves and reads back
+        assert [type(ckpt.metadata[k]) for k in ("seed", "window_hours", "total_steps", "eval_every")] == [int] * 4
+        assert checkpoint_config(ckpt) == SMALL_CONFIG
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(ckpt.net, ckpt.opt, ckpt.norm, ckpt.metadata, path)
+        loaded = load_checkpoint(path)
+        assert loaded.metadata == ckpt.metadata
+        assert checkpoint_config(loaded) == SMALL_CONFIG
 
     def test_same_seed_reproduces_bit_for_bit(self):
         a_curve, a_ckpt = train_agent(

@@ -1,4 +1,4 @@
-"""Columnar ``fetch_five_minute_feed`` against the per-record path it replaced.
+"""Columnar ``fetch_five_minute_feed`` against the per-record paths it replaced.
 
 The fetch now parses each body's records into a millisecond and a price
 column, checks them and filters them to ``[start, end)`` as arrays, and
@@ -11,6 +11,14 @@ bodies, records outside the range, unsorted records, negative prices,
 malformed records) and on a benchmark-size year, both must give the same
 timestamps, the same price bytes, the same ``aggregate_hourly`` output and the
 same error class.
+
+Each body is converted a column at a time, and record by record only when
+that fails. ``reference_payload`` is the parser that converted every body
+record by record; on drawn bodies that mix string, integer, float, bool and
+null fields, missing keys, non-object records, fields that ``int()`` and
+``float()`` read but the feed does not write, numbers past ``int()``'s digit
+limit and stamps past 64 bits, the parser must give its column bytes or its
+``ParseError`` message.
 """
 
 import json
@@ -32,7 +40,7 @@ from rtp_arb import (
     aggregate_hourly,
     fetch_five_minute_feed,
 )
-from rtp_arb.ingest import _day_chunks
+from rtp_arb.ingest import _day_chunks, _parse_feed_payload, number_text
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from workloads import ingest_feed  # noqa: E402
@@ -175,3 +183,189 @@ def test_range_bounds_between_milliseconds():
     assert_same_as_reference(date_start, date_end, [json.dumps(records)])
     got = fetch_five_minute_feed(date_start, date_end, http_get=serving([json.dumps(records)]))
     assert got.prices.tolist() == [float(k) for k in range(1, 13)]
+
+
+def reference_payload(body: str, lo_ms: int, hi_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """The record-by-record ``_parse_feed_payload``, verbatim."""
+    try:
+        records = json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"feed payload is not valid JSON: {exc}") from exc
+    if not isinstance(records, list):
+        raise ParseError(f"feed payload should be a JSON array, got {type(records).__name__}")
+    millis, prices = [], []
+    for rec in records:
+        try:
+            m, p = rec["millisUTC"], rec["price"]
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"feed record {rec!r} lacks millisUTC/price fields") from exc
+        # int() and float() would read a JSON true as 1
+        if m.__class__ is bool or p.__class__ is bool:
+            raise ParseError(f"feed record {rec!r} has a boolean field")
+        try:
+            # int() would truncate a JSON 1.5 to 1
+            if m.__class__ is float and not m.is_integer():
+                raise ValueError(m)
+            millis.append(int(m))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"feed record {rec!r} has a non-integer millisUTC") from exc
+        try:
+            prices.append(float(p))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"feed record {rec!r} has a non-numeric price") from exc
+    if "_" in body or "\\" in body or not body.isascii():
+        for rec in records:
+            for key in ("millisUTC", "price"):
+                if rec[key].__class__ is str:
+                    try:
+                        number_text(rec[key].strip())
+                    except ValueError as exc:
+                        raise ParseError(f"feed record {rec!r} has a {key} not written as a number") from exc
+    try:
+        ms = np.array(millis, np.int64)
+    except OverflowError:
+        bad = next(i for i, m in enumerate(millis) if not -(2**63) <= m < 2**63)
+        raise ParseError(f"feed record {records[bad]!r} has a millisUTC beyond 64 bits") from None
+    values = np.array(prices, np.float64)
+    for what, bad in (
+        ("has a non-finite price", ~np.isfinite(values)),
+        ("is not on a 5-minute boundary", ms % 300_000 != 0),
+    ):
+        if bad.any():
+            raise ParseError(f"feed record {records[int(np.argmax(bad))]!r} {what}")
+    keep = (lo_ms <= ms) & (ms < hi_ms)
+    return ms[keep], values[keep]
+
+
+def payload_outcome(parse, body, lo_ms, hi_ms):
+    """The columns' dtypes and bytes, or the error's class and message."""
+    try:
+        ms, values = parse(body, lo_ms, hi_ms)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ms.dtype, ms.tobytes(), values.dtype, values.tobytes()
+
+
+def assert_same_payload(body, lo_ms=BASE_MS, hi_ms=BASE_MS + 86_400_000):
+    want = payload_outcome(reference_payload, body, lo_ms, hi_ms)
+    assert payload_outcome(_parse_feed_payload, body, lo_ms, hi_ms) == want
+    return want
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+LONG_DIGITS = "1" * 4_400  # past int()'s default limit of 4,300 digits
+
+
+def either(*strategies):
+    """One of ``strategies``, each as likely (``st.one_of`` favours the first)."""
+    return st.sampled_from(strategies).flatmap(lambda strategy: strategy)
+
+
+steps = st.integers(-3, 300)
+# fields as the feed writes them, and as it does not: JSON numbers and other
+# non-strings, strings that int() and float() read but the feed does not
+# write, and strings the feed's format rejects
+good_stamps = steps.map(lambda k: str(BASE_MS + 300_000 * k))
+odd_stamps = either(
+    either(
+        steps.map(lambda k: BASE_MS + 300_000 * k),
+        steps.map(lambda k: float(BASE_MS + 300_000 * k)),
+        steps.map(lambda k: BASE_MS + 300_000 * k + 0.5),
+        st.sampled_from([2**63, -(2**63) - 300_000]),
+    ),
+    st.sampled_from([True, False, None, [1]]),
+    either(
+        steps.map(lambda k: f" {BASE_MS + 300_000 * k} "),
+        steps.map(lambda k: f"{BASE_MS + 300_000 * k:_}"),
+        steps.map(lambda k: str(BASE_MS + 300_000 * k).translate(ARABIC_INDIC)),
+    ),
+    # read as integers, then rejected: off the 5-minute grid, past 64 bits
+    st.sampled_from([str(BASE_MS + 60_000), "9" * 20, str(-(2**64) * 300_000)]),
+    st.sampled_from(["soon", "", "1.5", LONG_DIGITS]),
+)
+good_prices = prices.map(str)
+odd_prices = either(
+    either(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-(10**20), 10**20),
+        st.integers(-500, 500).map(float),
+    ),
+    st.sampled_from([True, False, None, {"cents": 1}]),
+    either(
+        prices.map(lambda p: f" {p} "),
+        st.sampled_from(["1_0", "\u0663", "3.\u0661", "1e5_0"]),
+    ),
+    # read as floats, then rejected as not finite
+    st.sampled_from(["NaN", "-inf", "1e400", "0." + LONG_DIGITS[:400] + "e400"]),
+    # not numbers, and digits past int()'s limit, which float() reads as inf
+    st.sampled_from(["abc", "", LONG_DIGITS + "." + LONG_DIGITS]),
+)
+# one odd field beside a good one comes twice: such a record can pass the
+# type checks and fail only a later one
+odd_records = either(
+    st.builds(lambda m, p: {"millisUTC": m, "price": p}, good_stamps, odd_prices),
+    st.builds(lambda m, p: {"millisUTC": m, "price": p}, good_stamps, odd_prices),
+    st.builds(lambda m, p: {"millisUTC": m, "price": p}, odd_stamps, good_prices),
+    st.builds(lambda m, p: {"millisUTC": m, "price": p}, odd_stamps, good_prices),
+    st.builds(lambda m, p: {"price": p, "millisUTC": m, "extra": None}, odd_stamps, odd_prices),
+    st.builds(lambda m: {"millisUTC": m}, good_stamps),
+    st.builds(lambda p: {"price": p}, good_prices),
+    st.sampled_from([None, 7, "record", ["not", "a", "record"], {}]),
+)
+
+
+@st.composite
+def feed_payloads(draw):
+    """A body of records as the feed writes them and a few drawn ones."""
+    records = [
+        {"millisUTC": str(BASE_MS + 300_000 * k), "price": str(p)}
+        for k, p in draw(st.lists(st.tuples(steps, prices), max_size=20))
+    ]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3]))):
+        at = draw(st.integers(0, len(records)))
+        odd = draw(odd_records)
+        if draw(st.booleans()) and at < len(records):
+            records[at] = odd
+        else:
+            records.insert(at, odd)
+    # ensure_ascii writes a non-ASCII digit as a \u escape, not raw
+    body = json.dumps(records, ensure_ascii=draw(st.booleans()))
+    if draw(st.integers(0, 4)) == 0:
+        # one ASCII digit of a string field as a \u escape
+        body = body.replace('"1', '"\\u0031', 1)
+    return body
+
+
+@settings(max_examples=500, deadline=None)
+@given(feed_payloads(), st.integers(-4, 304), st.integers(0, 304))
+def test_column_parse_matches_the_record_parse(body, lo, span):
+    lo_ms = BASE_MS + 300_000 * lo
+    assert_same_payload(body, lo_ms, lo_ms + 300_000 * span)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "[]",
+        "{}",
+        "[1, 2",
+        '[{"millisUTC": "\\u0031552186800000", "price": "1.0"}]',
+        '[{"millisUTC": 1552186800000, "price": "1.0"}]',
+        '[{"millisUTC": 1552186800000.0, "price": 1}]',
+        '[{"millisUTC": "1552186800000", "price": "1.0"}, {"millisUTC": "99999999999999999999", "price": "1_0"}]',
+        '[{"millisUTC": "99999999999999999999", "price": "1.0"}, {"millisUTC": "1552186800000", "price": "1_0"}]',
+        '[{"millisUTC": "1552186800000", "price": "1.0"}, {"millisUTC": "%s", "price": "2.0"}]' % LONG_DIGITS,
+    ],
+)
+def test_column_parse_matches_the_record_parse_on_edge_bodies(body):
+    assert_same_payload(body)
+
+
+def test_column_parse_matches_the_record_parse_on_a_year():
+    # the benchmark year as the feed writes it, and with every stamp a JSON
+    # number, which only the record-by-record conversion accepts
+    for body in ingest_feed(101).bodies.values():
+        as_numbers = [{"millisUTC": int(r["millisUTC"]), "price": r["price"]} for r in json.loads(body)]
+        for text in (body, json.dumps(as_numbers)):
+            want = assert_same_payload(text, -(2**62), 2**62)
+            assert want[0] == np.int64 and len(want[1]) > 0
