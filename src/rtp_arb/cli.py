@@ -104,31 +104,14 @@ class RunConfig:
     out_dir: Path = Path("runs")
 
 
-#: The subcommands that read each RunConfig field and so have its flags (one
-#: per leaf of battery and hyper); a field missing here fails at import.
-_FLAGS_ON = {
-    # eval and cross-test take the battery from checkpoint metadata
-    "battery": ("train", "oracle"),
-    "hyper": ("train",),
-    "steps": ("train",),
-    "eval_every": ("train",),
-    "seed": ("train",),
-    "endpoint": ("fetch",),
-    "years": (),  # config file only
-    "data_dir": ("fetch",),
-    "out_dir": ("train", "eval", "cross-test"),
-}
-
-
 def _knobs(cls: type = RunConfig, path: tuple[str, ...] = ()) -> dict:
-    """Config key -> (attribute path from RunConfig, converter, subcommands with its flag) of every leaf."""
-    out: dict[str, tuple[tuple[str, ...], Callable[[str], Any], tuple[str, ...]]] = {}
+    """Config key -> (attribute path from RunConfig, converter) of every leaf."""
+    out: dict[str, tuple[tuple[str, ...], Callable[[str], Any]]] = {}
     for name, hint in get_type_hints(cls).items():
         if is_dataclass(hint):
             out.update(_knobs(hint, path + (name,)))
         else:
-            convert = _parse_years if hint == tuple[int, ...] else hint
-            out[name] = (path + (name,), convert, _FLAGS_ON[path[0] if path else name])
+            out[name] = (path + (name,), _parse_years if hint == tuple[int, ...] else hint)
     return out
 
 
@@ -186,17 +169,14 @@ def _assemble(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[key] = flag
     # Validate eagerly so bad settings fail before any work.
-    try:
-        return _build(RunConfig, values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(RunConfig, values)
 
 
-def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    """One ``--field-name`` flag per knob that ``command`` reads."""
+def _add_flags(parser: argparse.ArgumentParser, *fields: str) -> None:
+    """One ``--field-name`` flag per knob under the RunConfig ``fields``."""
     defaults = RunConfig()
-    for key, (path, convert, commands) in _KNOBS.items():
-        if command in commands:
+    for key, (path, convert) in _KNOBS.items():
+        if path[0] in fields:
             default = defaults
             for name in path:
                 default = getattr(default, name)
@@ -216,32 +196,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("fetch", parents=[common], help="download a year of prices into the cache")
+    p.set_defaults(run=_cmd_fetch)
     p.add_argument("--year", type=_year, help="calendar year (default: every configured year)")
     p.add_argument("--force", action="store_true", help="allow the excluded year 2020")
+    _add_flags(p, "endpoint", "data_dir")  # years is config-file only
 
     p = sub.add_parser("train", parents=[common], help="train one agent on a price CSV")
+    p.set_defaults(run=_cmd_train)
     p.add_argument("--prices", required=True, help="hourly price CSV")
+    _add_flags(p, "battery", "hyper", "steps", "eval_every", "seed", "out_dir")
 
+    # eval and cross-test take the battery from checkpoint metadata
     p = sub.add_parser("eval", parents=[common], help="greedy return of a checkpoint on a series")
+    p.set_defaults(run=_cmd_eval)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prices", required=True, help="hourly price CSV")
     p.add_argument("--day", help="also write the dispatch trace of this UTC day (YYYY-MM-DD)")
+    _add_flags(p, "out_dir")
 
     p = sub.add_parser("cross-test", parents=[common], help="evaluate all agents on all years")
+    p.set_defaults(run=_cmd_cross_test)
     p.add_argument(
         "--manifest",
         required=True,
         help="CSV with header year,checkpoint_path,prices_path; paths relative to it",
     )
+    _add_flags(p, "out_dir")
 
     p = sub.add_parser("oracle", parents=[common], help="hindsight-optimal value of a series")
+    p.set_defaults(run=_cmd_oracle)
     p.add_argument("--prices", required=True, help="hourly price CSV")
+    _add_flags(p, "battery")
 
     p = sub.add_parser("plot", parents=[common], help="re-render SVGs from result CSVs")
+    p.set_defaults(run=_cmd_plot)
     p.add_argument("--in", dest="in_dir", required=True, help="directory holding result CSVs")
-
-    for command, p in sub.choices.items():
-        _add_flags(p, command)
     return parser
 
 
@@ -388,16 +377,6 @@ def _cmd_plot(cfg: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-_DISPATCH = {
-    "fetch": _cmd_fetch,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "cross-test": _cmd_cross_test,
-    "oracle": _cmd_oracle,
-    "plot": _cmd_plot,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
     parser = _build_parser()
@@ -407,7 +386,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         cfg = _assemble(args)
-        return _DISPATCH[args.command](cfg, args)
+        return args.run(cfg, args)
     except RtpArbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -75,10 +75,13 @@ class BatteryConfig:
     window_hours: int = DEFAULT_WINDOW_HOURS
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.capacity_kwh) and self.capacity_kwh > 0):
-            raise ConfigError(f"capacity_kwh must be positive, got {self.capacity_kwh}")
-        if not (math.isfinite(self.rate_kw) and self.rate_kw > 0):
-            raise ConfigError(f"rate_kw must be positive, got {self.rate_kw}")
+        # stored as Python floats, so a numpy scalar goes no further (JSON
+        # cannot write one into checkpoint metadata); a bool is refused
+        for name in ("capacity_kwh", "rate_kw"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, float(value))
         if not is_count(self.window_hours):
             raise ConfigError(f"window_hours must be an integer >= 1, got {self.window_hours!r}")
 
@@ -125,6 +128,10 @@ class PriceSeries:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("PriceSeries is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; a slot restore meets __setattr__
+        return (type(self), (self.start, self.prices))
 
     def __len__(self) -> int:
         return len(self.prices)

@@ -105,6 +105,10 @@ class FeedSamples:
     def __setattr__(self, name, value):
         raise AttributeError("FeedSamples is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor; a slot restore meets __setattr__
+        return (type(self), (self.micros, self.prices))
+
     def __len__(self) -> int:
         return len(self.micros)
 
@@ -242,8 +246,6 @@ def fetch_five_minute_feed(
             try:
                 body = http_get(url)
                 break
-            except ParseError:
-                raise
             except Exception as exc:
                 if attempt + 1 == RETRY_ATTEMPTS:
                     raise TransportError(

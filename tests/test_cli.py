@@ -78,6 +78,13 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unreadable_prices_path_is_runtime_error(self, tmp_path, capsys, clean_env):
+        # the OSError from opening a directory, not a traceback
+        assert run(["oracle", "--prices", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestOracleCommand:
     def test_worked_example(self, tmp_path, capsys, clean_env):

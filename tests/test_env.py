@@ -1,6 +1,8 @@
 """Environment contract: transitions, rewards, windows, accounting."""
 
+import copy
 import math
+import pickle
 from datetime import datetime, timedelta, timezone
 from zoneinfo import ZoneInfo
 
@@ -105,6 +107,16 @@ class TestPriceSeries:
                 s.index_of(START + off)
 
 
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_and_pickles_read_only(self, round_trip):
+        s = make_series([1.0, 2.5, -3.0])
+        twin = round_trip(s)
+        assert twin == s and twin.start.tzinfo is timezone.utc
+        assert not twin.prices.flags.writeable
+        with pytest.raises(AttributeError):
+            twin.prices = np.zeros(3)
+
+
 class TestBatteryConfig:
     def test_defaults_are_the_home_unit(self):
         cfg = BatteryConfig()
@@ -122,6 +134,9 @@ class TestBatteryConfig:
             {"window_hours": 24.0},
             {"window_hours": True},  # a bool is an Integral, and True would read as 1
             {"window_hours": False},
+            {"capacity_kwh": True},  # a bool is a number, and True would read as 1.0
+            {"rate_kw": True},
+            {"rate_kw": False},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -130,6 +145,12 @@ class TestBatteryConfig:
 
     def test_accepts_numpy_integer_window(self):
         assert BatteryConfig(window_hours=np.int64(6)).window_hours == 6
+
+    @pytest.mark.parametrize("capacity, rate", [(np.int64(4), np.float32(2.0)), (np.float32(4.0), np.int64(2)), (4, 2)])
+    def test_stores_capacity_and_rate_as_python_floats(self, capacity, rate):
+        cfg = BatteryConfig(capacity_kwh=capacity, rate_kw=rate)
+        assert (type(cfg.capacity_kwh), type(cfg.rate_kw)) == (float, float)
+        assert cfg == BatteryConfig(capacity_kwh=4.0, rate_kw=2.0)
 
 
 class TestApplyAction:

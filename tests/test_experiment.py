@@ -169,6 +169,19 @@ class TestTrainAgent:
         assert loaded.metadata == ckpt.metadata
         assert checkpoint_config(loaded) == SMALL_CONFIG
 
+    @pytest.mark.parametrize("capacity, rate", [(np.int64(4), np.float32(2.0)), (np.float32(4.0), np.int64(2))])
+    def test_accepts_numpy_capacity_and_rate(self, tmp_path, capacity, rate):
+        config = BatteryConfig(capacity_kwh=capacity, rate_kw=rate, window_hours=4)
+        curve, ckpt = train_agent(wave_series(), config, FAST_HYPER, 40, 40, 0)
+        assert checkpoint_config(ckpt) == SMALL_CONFIG
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(ckpt.net, ckpt.opt, ckpt.norm, ckpt.metadata, path)
+        loaded = load_checkpoint(path)
+        assert loaded.metadata == ckpt.metadata
+        assert checkpoint_config(loaded) == SMALL_CONFIG
+        assert type(ckpt.norm.charge_scale) is float
+        assert curve == train_agent(wave_series(), SMALL_CONFIG, FAST_HYPER, 40, 40, 0)[0]
+
     def test_same_seed_reproduces_bit_for_bit(self):
         a_curve, a_ckpt = train_agent(
             wave_series(), SMALL_CONFIG, FAST_HYPER, total_steps=80, eval_every=40, seed=7
@@ -228,6 +241,23 @@ class TestTrainAgent:
         curve = info.value.curve
         assert curve is not None
         assert curve.steps == (0,)
+
+    def test_diverged_update_carries_the_evaluations_made(self, monkeypatch):
+        run = (wave_series(), SMALL_CONFIG, FAST_HYPER, 120, 40, 2)
+        full, _ = train_agent(*run)
+        calls = []
+
+        def diverge_on_call_30(*args):
+            calls.append(None)
+            if len(calls) == 30:  # environment step 66: evaluations at 0 and 40 are made
+                raise TrainingDivergedError("non-finite loss")
+            return real_train_step(*args)
+
+        real_train_step = experiment.train_step
+        monkeypatch.setattr(experiment, "train_step", diverge_on_call_30)
+        with pytest.raises(TrainingDivergedError, match="non-finite loss") as info:
+            train_agent(*run)
+        assert info.value.curve == TrainingCurve(2021, full.points[:2])
 
 
 class TestHyperparams:

@@ -1,6 +1,8 @@
 """Feed parsing, chunked fetch with retry, hourly aggregation, CSV cache."""
 
+import copy
 import json
+import pickle
 import sys
 import threading
 from datetime import datetime, timedelta, timezone
@@ -197,6 +199,16 @@ class TestFeedSamples:
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError, match="equal"):
             FeedSamples([0, 1], [1.0])
+
+    @pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_and_pickles_read_only(self, round_trip):
+        samples = self.fetch()
+        twin = round_trip(samples)
+        np.testing.assert_array_equal(twin.micros, samples.micros, strict=True)
+        np.testing.assert_array_equal(twin.prices, samples.prices, strict=True)
+        assert not (twin.micros.flags.writeable or twin.prices.flags.writeable)
+        with pytest.raises(AttributeError):
+            twin.prices = np.zeros(24)
 
 
 class TestFetchRange:
