@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -206,23 +207,14 @@ def save_checkpoint(
     JSON header, then one contiguous float64 little-endian block (row-major)
     per array: network parameters in ``net.parameters()`` order, then first
     optimizer moments, then second moments; that is ``net.flat``, ``opt.m``
-    and ``opt.v`` end to end. ``metadata`` must be JSON-serializable. The
-    file is replaced whole or not at all.
+    and ``opt.v`` end to end. The header's ``normalizer`` and ``optimizer``
+    sections hold the number fields of ``norm`` and ``opt``, and ``metadata``
+    must be JSON-serializable. The file is replaced whole or not at all.
     """
     header = {
         "layer_dims": list(net.layer_dims),
-        "normalizer": {
-            "price_mean": norm.price_mean,
-            "price_std": norm.price_std,
-            "charge_scale": norm.charge_scale,
-        },
-        "optimizer": {
-            "learning_rate": opt.learning_rate,
-            "beta1": opt.beta1,
-            "beta2": opt.beta2,
-            "epsilon": opt.epsilon,
-            "step_count": opt.step_count,
-        },
+        "normalizer": header_fields(norm),
+        "optimizer": header_fields(opt),
         "metadata": metadata,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -234,23 +226,34 @@ def save_checkpoint(
             fh.write(flat.astype("<f8", copy=False).tobytes())
 
 
-def header_float(value, name: str) -> float:
-    """A float field of a checkpoint header, as the writer writes it: a JSON
-    number, not a bool or a string, which float() would also read."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise TypeError(f"{name} {value!r} is not a number")
+def _number_fields(cls) -> dict[str, type]:
+    """The float and int fields of dataclass ``cls``: a header section's schema."""
+    types = {"float": float, "int": int}  # as ``from __future__ import annotations`` declares them
+    return {f.name: types[f.type] for f in fields(cls) if f.type in types}
+
+
+def header_number(value, name: str, kind: type) -> float | int:
+    """A header number of type ``kind`` as a Python ``kind``, by one rule for
+    writer and reader: an int field takes an integer and a float field any
+    real number, but neither takes a bool or a string, as int() and float() do."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if kind is int else numbers.Real):
+        raise TypeError(f"{name} {value!r} is not {'an integer' if kind is int else 'a number'}")
     try:
-        return float(value)
-    except OverflowError:  # a JSON integer past the float range
+        return kind(value)
+    except OverflowError:  # an integer past the float range
         raise ValueError(f"{name} is past the float range") from None
 
 
-def header_int(value, name: str) -> int:
-    """An integer field of a checkpoint header, as the writer writes it: a
-    JSON integer, not a bool, a fraction or a string, which int() would read."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{name} {value!r} is not an integer")
-    return value
+def header_fields(obj) -> dict[str, float | int]:
+    """A header section: dataclass ``obj``'s float and int fields by name."""
+    return {name: header_number(getattr(obj, name), name, kind) for name, kind in _number_fields(obj).items()}
+
+
+def from_header(cls, section: dict[str, Any], **given):
+    """Dataclass ``cls`` from a :func:`header_fields` section, the other fields
+    ``given``; keys that are not fields are ignored."""
+    values = {name: header_number(section[name], name, kind) for name, kind in _number_fields(cls).items()}
+    return cls(**values, **given)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -271,14 +274,8 @@ def load_checkpoint(path) -> Checkpoint:
     off = len(CHECKPOINT_MAGIC) + 8
     try:
         header = json.loads(blob[off : off + header_len].decode("utf-8"))
-        dims = [header_int(d, "layer_dims") for d in header["layer_dims"]]
-        norm_f = header["normalizer"]
-        opt_f = header["optimizer"]
-        norm = ObservationNormalizer(
-            header_float(norm_f["price_mean"], "price_mean"),
-            header_float(norm_f["price_std"], "price_std"),
-            header_float(norm_f["charge_scale"], "charge_scale"),
-        )
+        dims = [header_number(d, "layer_dims", int) for d in header["layer_dims"]]
+        norm = from_header(ObservationNormalizer, header["normalizer"])
         metadata = dict(header["metadata"])
     # ValueError includes the decode errors
     except (KeyError, TypeError, ValueError) as exc:
@@ -308,15 +305,7 @@ def load_checkpoint(path) -> Checkpoint:
     net = QNetwork([np.zeros(pair) for pair in pairs], [np.zeros(fan_out) for _, fan_out in pairs])
     net.flat[:] = flat
     try:
-        opt = AdamState(
-            learning_rate=header_float(opt_f["learning_rate"], "learning_rate"),
-            beta1=header_float(opt_f["beta1"], "beta1"),
-            beta2=header_float(opt_f["beta2"], "beta2"),
-            epsilon=header_float(opt_f["epsilon"], "epsilon"),
-            step_count=header_int(opt_f["step_count"], "step_count"),
-            m=m,
-            v=v,
-        )
+        opt = from_header(AdamState, header["optimizer"], m=m, v=v)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint {path} optimizer header is corrupt: {exc}") from exc
     return Checkpoint(net, opt, norm, metadata)

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime, time as dtime, timezone
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
@@ -28,8 +28,8 @@ from .dqn import (
     Checkpoint,
     ReplayBuffer,
     explore,
-    header_float,
-    header_int,
+    from_header,
+    header_fields,
     push_transition,
     select_action,
     sync_target,
@@ -92,8 +92,13 @@ class Hyperparams:
     epsilon_decay_fraction: float = 0.1
 
     def __post_init__(self) -> None:
+        # a bool would pass each range check below as 0.0 or 1.0
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, got {value}")
         if not 0.0 < self.epsilon_decay_fraction <= 1.0:
-            raise ConfigError(f"epsilon decay_fraction must be in (0, 1], got {self.epsilon_decay_fraction}")
+            raise ConfigError(f"epsilon_decay_fraction must be in (0, 1], got {self.epsilon_decay_fraction}")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ConfigError(
                 f"epsilon must fall within [0, 1] (0 <= end <= start <= 1), "
@@ -345,9 +350,7 @@ def train_agent(
         "step": best_step,
         "greedy_return_cents": best_ret,
         "seed": int(seed),
-        "capacity_kwh": config.capacity_kwh,
-        "rate_kw": config.rate_kw,
-        "window_hours": int(config.window_hours),
+        **header_fields(config),
         "total_steps": int(total_steps),
         "eval_every": int(eval_every),
     }
@@ -356,13 +359,8 @@ def train_agent(
 
 def checkpoint_config(ckpt: Checkpoint) -> BatteryConfig:
     """Battery parameters a checkpoint was trained with, from its metadata."""
-    meta = ckpt.metadata
     try:
-        return BatteryConfig(
-            capacity_kwh=header_float(meta["capacity_kwh"], "capacity_kwh"),
-            rate_kw=header_float(meta["rate_kw"], "rate_kw"),
-            window_hours=header_int(meta["window_hours"], "window_hours"),
-        )
+        return from_header(BatteryConfig, ckpt.metadata)
     except KeyError as exc:
         raise ConfigError(f"checkpoint metadata lacks battery field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -112,7 +112,11 @@ class ObservationNormalizer:
 
     def __post_init__(self) -> None:
         # a zero, negative or non-finite divisor turns every input into inf/NaN
-        # or flips its sign; load_checkpoint maps this to a CheckpointError
+        # or flips its sign, and a bool would be saved as a JSON true, which
+        # the reader refuses; load_checkpoint maps these to a CheckpointError
+        for name in ("price_mean", "price_std", "charge_scale"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)}")
         if not math.isfinite(self.price_mean):
             raise ValueError(f"price_mean must be finite, got {self.price_mean}")
         for name in ("price_std", "charge_scale"):

@@ -906,6 +906,14 @@ class TestMalformedCheckpoints:
         assert code == 1
         assert err.startswith(f"error: checkpoint metadata has a malformed battery field: {field} ")
 
+    @pytest.mark.parametrize("field", ["capacity_kwh", "rate_kw", "window_hours"])
+    def test_missing_battery_field(self, tmp_path, capsys, clean_env, field):
+        net = init_network(4, seed=0, hidden_dims=(8,))
+        metadata = {key: value for key, value in self.BATTERY.items() if key != field}
+        code, err = self.eval_checkpoint(tmp_path, capsys, net, metadata=metadata)
+        assert code == 1
+        assert err == f"error: checkpoint metadata lacks battery field '{field}'\n"
+
     def test_battery_floats_may_be_json_integers(self, tmp_path, capsys, clean_env):
         net = init_network(4, seed=0, hidden_dims=(8,))
         metadata = dict(self.BATTERY, capacity_kwh=4, rate_kw=2)

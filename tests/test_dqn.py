@@ -370,6 +370,60 @@ class TestCheckpoint:
         assert norm == ObservationNormalizer(3.0, 1.7, 13.0)
         assert type(norm.price_mean) is float and type(norm.charge_scale) is float
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("normalizer", key) for key in ("price_mean", "price_std", "charge_scale")]
+        + [("optimizer", key) for key in ("learning_rate", "beta1", "beta2", "epsilon", "step_count")],
+    )
+    def test_missing_header_number_rejected(self, tmp_path, section, key):
+        _, _, _, _, path = self.roundtrip(tmp_path)
+        self.rewrite_header(path, lambda header: header[section].pop(key))
+        with pytest.raises(CheckpointError, match=f"corrupt.*: '{key}'$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["price_mean", "price_std", "charge_scale"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_normalizer_refuses_bools(self, field, value):
+        # a bool would read as 1.0 or 0.0; no checkpoint header may hold one
+        fields = {"price_mean": 0.0, "price_std": 1.0, "charge_scale": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a number, got {value}$"):
+            ObservationNormalizer(**fields)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda net: (ObservationNormalizer(np.float32(0.5), 1.0, 1.0), AdamState.for_network(net)),
+            lambda net: (IDENTITY_NORM, AdamState.for_network(net, np.float32(1e-3))),
+            lambda net: (IDENTITY_NORM, AdamState(step_count=np.int64(3), m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))),
+        ],
+        ids=["normalizer-float32", "learning-rate-float32", "step-count-int64"],
+    )
+    def test_numpy_scalars_round_trip(self, tmp_path, make):
+        # JSON cannot write a numpy scalar; the writer turns each into a Python number
+        net = init_network(4, seed=13, hidden_dims=(8, 6))
+        norm, opt = make(net)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(net, opt, norm, {}, path)
+        loaded = load_checkpoint(path)
+        for saved, read, names in [
+            (norm, loaded.norm, ("price_mean", "price_std", "charge_scale")),
+            (opt, loaded.opt, ("learning_rate", "beta1", "beta2", "epsilon", "step_count")),
+        ]:
+            for name in names:
+                value = getattr(read, name)
+                assert value == getattr(saved, name)
+                assert type(value) is (int if name == "step_count" else float)
+
+    @pytest.mark.parametrize("field, value", [("step_count", 3.7), ("step_count", True), ("learning_rate", True)])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, field, value):
+        # int() and float() would save these as 3, 1 and 1.0
+        net = init_network(4, seed=13, hidden_dims=(8, 6))
+        opt = AdamState(**{field: value}, m=np.zeros_like(net.flat), v=np.zeros_like(net.flat))
+        path = tmp_path / "agent.ckpt"
+        with pytest.raises(TypeError, match=f"^{field} {value!r} is not an? (number|integer)$"):
+            save_checkpoint(net, opt, IDENTITY_NORM, {}, path)
+        assert not path.exists()
+
     def test_infinite_second_moment_loads(self, tmp_path):
         # v = g * g overflows in a long enough run; the file is still an agent
         net, opt, norm, metadata, path = self.roundtrip(tmp_path)

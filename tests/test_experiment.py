@@ -4,6 +4,7 @@ import errno
 import os
 import time
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from datetime import date, datetime, timezone
 from zoneinfo import ZoneInfo
 
@@ -182,6 +183,23 @@ class TestTrainAgent:
         assert type(ckpt.norm.charge_scale) is float
         assert curve == train_agent(wave_series(), SMALL_CONFIG, FAST_HYPER, 40, 40, 0)[0]
 
+    def test_accepts_numpy_learning_rate(self, tmp_path):
+        # the rate reaches the optimizer, whose checkpoint header is JSON;
+        # at seed 3 the saved agent is the one after step 40's 17 updates
+        rate = np.float32(1e-3)
+        curve, ckpt = train_agent(wave_series(), SMALL_CONFIG, replace(FAST_HYPER, learning_rate=rate), 40, 40, 3)
+        path = tmp_path / "agent.ckpt"
+        save_checkpoint(ckpt.net, ckpt.opt, ckpt.norm, ckpt.metadata, path)
+        loaded = load_checkpoint(path)
+        assert loaded.opt.learning_rate == float(rate) and type(loaded.opt.learning_rate) is float
+        python_curve, python_ckpt = train_agent(
+            wave_series(), SMALL_CONFIG, replace(FAST_HYPER, learning_rate=float(rate)), 40, 40, 3
+        )
+        assert curve == python_curve
+        assert loaded.opt.step_count == python_ckpt.opt.step_count == 17
+        assert loaded.net.flat.tobytes() == python_ckpt.net.flat.tobytes()
+        assert loaded.opt.m.tobytes() == python_ckpt.opt.m.tobytes()
+
     def test_same_seed_reproduces_bit_for_bit(self):
         a_curve, a_ckpt = train_agent(
             wave_series(), SMALL_CONFIG, FAST_HYPER, total_steps=80, eval_every=40, seed=7
@@ -295,9 +313,16 @@ class TestHyperparams:
         with pytest.raises(ConfigError):
             Hyperparams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["gamma", "learning_rate", "epsilon_start", "epsilon_end", "epsilon_decay_fraction"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_float_fields_refuse_bools(self, name, value):
+        # True would pass each range check as 1.0: a gamma of 1, a learning rate of 1
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got {value}$"):
+            Hyperparams(**{name: value})
+
     def test_exploration_is_checked_first(self):
         # as when the schedule was a record built before the other fields
-        with pytest.raises(ConfigError, match=r"^epsilon decay_fraction must be in \(0, 1\], got 0.0$"):
+        with pytest.raises(ConfigError, match=r"^epsilon_decay_fraction must be in \(0, 1\], got 0.0$"):
             Hyperparams(batch_size=0, epsilon_decay_fraction=0.0, epsilon_start=2.0)
         with pytest.raises(ConfigError, match=r"got start 2.0 and end 0.05$"):
             Hyperparams(gamma=2.0, epsilon_start=2.0)
